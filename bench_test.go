@@ -1,9 +1,10 @@
 // bench_test.go is the benchmark harness that regenerates every table and
-// figure of the paper's evaluation (see DESIGN.md for the experiment index
-// and EXPERIMENTS.md for paper-versus-measured values). The benchmarks run
-// against a reduced-size simulated device population so the whole harness
-// completes in minutes; cmd/drange-figures runs the same experiments at
-// larger scale and prints the full data series.
+// figure of the paper's evaluation (see README.md for the module guide, and
+// bench/README.md for the layered end-to-end benchmark that measures host
+// and simulated time). The benchmarks run against a reduced-size simulated
+// device population so the whole harness completes in minutes;
+// cmd/drange-figures runs the same experiments at larger scale and prints
+// the full data series.
 package repro
 
 import (

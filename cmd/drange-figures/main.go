@@ -1,7 +1,7 @@
 // Command drange-figures regenerates the tables and figures of the paper's
 // evaluation from the simulated DRAM population, printing the same rows and
-// series the paper reports. See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-versus-measured numbers.
+// series the paper reports. See README.md for the module guide and
+// bench/README.md for the measured performance of each layer.
 //
 // The generator-level results go through the public profile-centric API
 // (drange.Characterize once, drange.Open per configuration); the Section 5

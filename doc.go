@@ -133,11 +133,12 @@
 // multi-reader throughput scales instead of serializing behind the pool
 // mutex. Attaching WithHealthTests or WithPostprocess engages the locked
 // path: windowed tests and corrector carries need one well-defined stream
-// order. BENCH_pr5.json records the measured serving-path trajectory; the
-// CI bench job regenerates it on every push.
+// order. The repository benchmark in bench/ (`bash bench/run.sh`) measures
+// the serving path end to end and per layer; bench/README.md documents its
+// workloads and metrics.
 //
 // The benchmark harness in bench_test.go regenerates every table and figure
-// of the paper's evaluation; see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-versus-measured numbers, and README.md for the
-// module guide and the migration table from the deprecated drange.New API.
+// of the paper's evaluation; see README.md for the module guide and the
+// migration table from the deprecated drange.New API, and bench/README.md
+// for the measured performance of each layer.
 package repro

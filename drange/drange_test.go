@@ -470,6 +470,35 @@ func TestPostprocessChain(t *testing.T) {
 	}
 }
 
+// TestPostprocessedReadRawNoAlloc: once its buffers have grown, a raw-tier
+// read through a von Neumann corrector allocates nothing — the stages reuse
+// their carry and output buffers and the chain compacts its buffer in place.
+func TestPostprocessedReadRawNoAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"sequential", []Option{WithPostprocess(VonNeumann())}},
+		{"4 shards with DRBG", []Option{WithShards(4), WithDRBG(DRBGPolicy{}), WithPostprocess(VonNeumann())}},
+	} {
+		src := openQuick(t, tc.opts...)
+		buf := make([]byte, 256)
+		for i := 0; i < 4; i++ {
+			if _, err := src.ReadRaw(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := src.ReadRaw(buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: ReadRaw through von Neumann allocates %.2f times per read, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // TestPostprocessMultiStageStreaming checks that a multi-stage chain carries
 // sub-block remainders between batches: the streamed output must equal the
 // whole-stream composition of the correctors over the raw bits consumed, with

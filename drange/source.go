@@ -121,7 +121,8 @@ func SHA256Conditioner(inputBlockBits int) Corrector {
 // corrector applied to the whole concatenated input. The stream is carried in
 // the packed representation; built-in correctors process it packed, and
 // correctors of unknown provenance are served through an unpack/repack
-// adapter around their bit-per-byte Process.
+// adapter around their bit-per-byte Process. The carry, head and out buffers
+// are reused across batches, so a warmed packed stage allocates nothing.
 type postStage struct {
 	c Corrector
 	// packed is the corrector's packed fast path (nil for custom correctors).
@@ -130,10 +131,16 @@ type postStage struct {
 	// unknown structure, which are fed batch-at-a-time).
 	block int
 	carry postproc.Packed
+	// head holds a copy of a partially consumed carry's block-aligned
+	// prefix; out holds the stage's output until the next feed.
+	head, out postproc.Packed
 }
 
 // feed runs the stage over its carry plus the incoming bits, consuming the
-// largest block-aligned prefix and retaining the remainder for later.
+// largest block-aligned prefix and retaining the remainder for later. The
+// result is valid until the next feed.
+//
+//drange:noalloc amortized
 func (s *postStage) feed(in postproc.Packed) (postproc.Packed, error) {
 	s.carry.Append(in)
 	usable := s.carry.Len
@@ -143,29 +150,31 @@ func (s *postStage) feed(in postproc.Packed) (postproc.Packed, error) {
 	if usable == 0 {
 		return postproc.Packed{}, nil
 	}
-	// The carry always starts at bit 0, so a fully consumed carry is a
-	// cheap view; a partial prefix is re-materialised so the bits past Len
-	// stay zero, the invariant postproc.Packed consumers rely on.
-	prefix := postproc.Packed{Data: s.carry.Data, Len: usable}
+	// A fully consumed carry is handed over as is; a partial prefix is
+	// copied and truncated so the bits past its Len stay zero, the
+	// invariant postproc.Packed consumers rely on.
+	prefix := s.carry
 	if usable < s.carry.Len {
-		prefix = s.carry.Slice(0, usable)
+		s.head.Data = append(s.head.Data[:0], s.carry.Data...)
+		s.head.Len = s.carry.Len
+		s.head.Truncate(usable)
+		prefix = s.head
 	}
-	var out postproc.Packed
 	var err error
 	if s.packed != nil {
-		out, err = s.packed.ProcessPacked(prefix)
+		s.out, err = s.packed.AppendPacked(postproc.Packed{Data: s.out.Data[:0]}, prefix)
 	} else {
 		var legacy []byte
 		legacy, err = s.c.Process(prefix.Unpack())
 		if err == nil {
-			out = postproc.PackBits(legacy)
+			s.out = postproc.PackBits(legacy)
 		}
 	}
 	if err != nil {
 		return postproc.Packed{}, fmt.Errorf("drange: postprocess stage %s: %w", s.c.Name(), err)
 	}
-	s.carry = s.carry.Slice(usable, s.carry.Len-usable)
-	return out, nil
+	s.carry.Drop(usable)
+	return s.out, nil
 }
 
 // postChain streams a corrector chain over a raw bit source: raw bits are
@@ -213,6 +222,8 @@ func newPostChain(chain []Corrector) (*postChain, error) {
 
 // fill harvests and corrects until at least need bits are buffered. rawPacked
 // fills its argument with packed raw bytes.
+//
+//drange:noalloc amortized
 func (p *postChain) fill(need int, rawPacked func([]byte) error) error {
 	batch := basePostBatch
 	// sinceYield counts the raw bits harvested since the chain last produced
@@ -256,13 +267,15 @@ func (p *postChain) fill(need int, rawPacked func([]byte) error) error {
 
 // readPacked fills dst with corrected bytes, harvesting raw bits via
 // rawPacked as needed.
+//
+//drange:noalloc
 func (p *postChain) readPacked(dst []byte, rawPacked func([]byte) error) error {
 	if err := p.fill(len(dst)*8, rawPacked); err != nil {
 		return err
 	}
 	// buf always starts at bit 0, so whole bytes copy straight out.
 	copy(dst, p.buf.Data[:len(dst)])
-	p.buf = p.buf.Slice(len(dst)*8, p.buf.Len-len(dst)*8)
+	p.buf.Drop(len(dst) * 8)
 	return nil
 }
 
@@ -276,6 +289,6 @@ func (p *postChain) readBits(n int, rawPacked func([]byte) error) ([]byte, error
 	for i := range out {
 		out[i] = p.buf.Bit(i)
 	}
-	p.buf = p.buf.Slice(n, p.buf.Len-n)
+	p.buf.Drop(n)
 	return out, nil
 }

@@ -101,7 +101,11 @@ var requiredNoalloc = []struct {
 	{"internal/core/bitbuf.go", "PopPacked"},
 	{"internal/memctrl/controller.go", "ReadWordInto"},
 	{"internal/health/health.go", "IngestPacked"},
-	{"internal/postproc/packed.go", "ProcessPacked"},
+	{"internal/postproc/packed.go", "AppendPacked"},
+	{"internal/postproc/packed.go", "Drop"},
+	{"drange/source.go", "feed"},
+	{"drange/source.go", "fill"},
+	{"drange/source.go", "readPacked"},
 }
 
 // TestRequiredAnnotationsPresent re-parses the annotated files and asserts the

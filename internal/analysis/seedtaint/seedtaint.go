@@ -15,9 +15,9 @@
 //     cleansed.
 //   - Sinks: drbg.DRBG.Reseed entropy, Generate additional input, the
 //     NewCTR/NewChaCha instantiation seed, and the post-processing chain
-//     inputs (postproc Process/ProcessPacked/PackBits) — plus the success
-//     exits of Source.Read/ReadBits/Uint64 implementations in the drange
-//     package.
+//     inputs (postproc Process/ProcessPacked/AppendPacked/PackBits) — plus
+//     the success exits of Source.Read/ReadBits/Uint64 implementations in
+//     the drange package.
 //   - Raw tier: branches taken only when no monitor is configured
 //     (`m.monitor == nil` guards) are the documented raw tier and do not
 //     taint.
@@ -186,7 +186,7 @@ func run(pass *analysis.Pass) error {
 					SinkDesc:     "the DRBG instantiation seed",
 					CleanResults: true,
 				}, true
-			case (name == "Process" || name == "ProcessPacked" || name == "PackBits") &&
+			case (name == "Process" || name == "ProcessPacked" || name == "AppendPacked" || name == "PackBits") &&
 				pkgIs(fn, "internal/postproc") && !inHealth && !inPostproc:
 				// The health monitor itself packages raw bits for its tests,
 				// and postproc's own internals shuffle Packed values freely;

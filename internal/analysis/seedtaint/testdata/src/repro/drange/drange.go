@@ -151,6 +151,15 @@ func Whiten(d *device.Device) ([]byte, error) {
 	return postproc.Process(buf), nil // want "raw device entropy reaches the post-processing chain input without passing health\\.Monitor"
 }
 
+// WhitenInto feeds a raw harvest into the chain's appending entry point.
+func WhitenInto(d *device.Device, dst []byte) ([]byte, error) {
+	buf := make([]byte, 32)
+	if err := sampler.Harvest(d, buf); err != nil {
+		return nil, err
+	}
+	return postproc.AppendPacked(dst, buf), nil // want "raw device entropy reaches the post-processing chain input without passing health\\.Monitor"
+}
+
 // ScreenedSeed is the clean counterpart of SeedDRBG: monitored entropy may
 // instantiate a DRBG.
 func ScreenedSeed(d *device.Device, m *health.Monitor) (*drbg.DRBG, error) {

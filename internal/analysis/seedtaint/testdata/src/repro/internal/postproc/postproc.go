@@ -5,3 +5,5 @@ package postproc
 func Process(in []byte) []byte { return in }
 
 func PackBits(bits []byte) []byte { return bits }
+
+func AppendPacked(dst, in []byte) []byte { return append(dst, in...) }

@@ -126,26 +126,43 @@ func IdentifyRNGCells(ctrl *memctrl.Controller, region profiler.Region, cfg Iden
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-
-	// Group candidates by (row, word) so the deep pass only touches words
-	// that contain candidates.
-	g := ctrl.Device().Geometry()
-	type rw struct{ row, word int }
-	byWord := make(map[rw][]profiler.CellAddr)
-	for _, c := range candidates {
-		key := rw{c.Row, c.Col / g.WordBits}
-		byWord[key] = append(byWord[key], c)
-	}
-	keys := make([]rw, 0, len(byWord))
-	for k := range byWord {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].row != keys[j].row {
-			return keys[i].row < keys[j].row
+	sort.Slice(candidates, func(i, j int) bool {
+		a, b := candidates[i], candidates[j]
+		if a.Row != b.Row {
+			return a.Row < b.Row
 		}
-		return keys[i].word < keys[j].word
+		return a.Col < b.Col
 	})
+
+	// Group the sorted candidates by (row, word) so the deep pass only
+	// touches words that contain candidates. Each word carries everything
+	// the sample loop needs: its expected content, its candidates' bit
+	// offsets within the word, and their read-value streams (a window of
+	// streams, which is indexed like candidates).
+	g := ctrl.Device().Geometry()
+	wordU64s := g.WordBits / 64
+	type deepWord struct {
+		row, word int
+		expected  []uint64
+		offsets   []int
+		streams   [][]byte
+	}
+	var words []deepWord
+	streams := make([][]byte, len(candidates))
+	for i, c := range candidates {
+		streams[i] = make([]byte, 0, cfg.Samples)
+		w := c.Col / g.WordBits
+		if n := len(words); n == 0 || words[n-1].row != c.Row || words[n-1].word != w {
+			rowData, err := cfg.Pattern.FillRow(c.Row, g.ColsPerRow)
+			if err != nil {
+				return nil, err
+			}
+			words = append(words, deepWord{row: c.Row, word: w, expected: rowData[w*wordU64s : (w+1)*wordU64s], streams: streams[i:i]})
+		}
+		dw := &words[len(words)-1]
+		dw.offsets = append(dw.offsets, c.Col-w*g.WordBits)
+		dw.streams = dw.streams[:len(dw.streams)+1]
+	}
 
 	// Phase 2: deep profiling. Record every candidate cell's read-value
 	// stream over cfg.Samples reduced-latency reads.
@@ -157,41 +174,28 @@ func IdentifyRNGCells(ctrl *memctrl.Controller, region profiler.Region, cfg Iden
 	}
 	defer ctrl.ResetTRCD()
 
-	streams := make(map[profiler.CellAddr][]byte, len(candidates))
-	for _, cells := range byWord {
-		for _, c := range cells {
-			streams[c] = make([]byte, 0, cfg.Samples)
-		}
-	}
-	wordU64s := g.WordBits / 64
+	got := make([]uint64, wordU64s)
 	for s := 0; s < cfg.Samples; s++ {
-		for _, k := range keys {
-			expected, err := cfg.Pattern.FillRow(k.row, g.ColsPerRow)
-			if err != nil {
+		for i := range words {
+			dw := &words[i]
+			if err := ctrl.RefreshRow(region.Bank, dw.row); err != nil {
 				return nil, err
 			}
-			expWord := expected[k.word*wordU64s : (k.word+1)*wordU64s]
-			if err := ctrl.RefreshRow(region.Bank, k.row); err != nil {
-				return nil, err
-			}
-			got, _, err := ctrl.ReadWord(region.Bank, k.row, k.word)
-			if err != nil {
+			if _, err := ctrl.ReadWordInto(region.Bank, dw.row, dw.word, got); err != nil {
 				return nil, err
 			}
 			dirty := false
-			for u := 0; u < wordU64s; u++ {
-				if got[u] != expWord[u] {
+			for u := range got {
+				if got[u] != dw.expected[u] {
 					dirty = true
 					break
 				}
 			}
-			for _, c := range byWord[k] {
-				bitIdx := c.Col - k.word*g.WordBits
-				v := byte((got[bitIdx/64] >> uint(bitIdx%64)) & 1)
-				streams[c] = append(streams[c], v)
+			for j, off := range dw.offsets {
+				dw.streams[j] = append(dw.streams[j], byte((got[off/64]>>uint(off%64))&1))
 			}
 			if dirty {
-				if _, err := ctrl.WriteWord(region.Bank, k.row, k.word, expWord); err != nil {
+				if _, err := ctrl.WriteWord(region.Bank, dw.row, dw.word, dw.expected); err != nil {
 					return nil, err
 				}
 			}
@@ -201,9 +205,11 @@ func IdentifyRNGCells(ctrl *memctrl.Controller, region profiler.Region, cfg Iden
 		}
 	}
 
-	// Apply the Section 6.1 criterion.
+	// Apply the Section 6.1 criterion. Candidates are in (row, col) order,
+	// so the result is too.
 	var out []RNGCell
-	for c, stream := range streams {
+	for i, c := range candidates {
+		stream := streams[i]
 		uniform, err := entropy.SymbolsUniform(stream, cfg.SymbolBits, cfg.Tolerance)
 		if err != nil {
 			return nil, err
@@ -233,15 +239,5 @@ func IdentifyRNGCells(ctrl *memctrl.Controller, region profiler.Region, cfg Iden
 			SymbolEntropy: symEnt,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Addr, out[j].Addr
-		if a.Bank != b.Bank {
-			return a.Bank < b.Bank
-		}
-		if a.Row != b.Row {
-			return a.Row < b.Row
-		}
-		return a.Col < b.Col
-	})
 	return out, nil
 }

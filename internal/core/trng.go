@@ -321,9 +321,9 @@ func SampleCell(ctrl *memctrl.Controller, cell RNGCell, pat pattern.Pattern, trc
 		prealloc = maxSamplePrealloc
 	}
 	out := make([]byte, 0, prealloc)
+	got := make([]uint64, nw)
 	for i := 0; i < n; i++ {
-		got, _, err := ctrl.ReadWord(addr.Bank, addr.Row, wordIdx)
-		if err != nil {
+		if _, err := ctrl.ReadWordInto(addr.Bank, addr.Row, wordIdx, got); err != nil {
 			return nil, err
 		}
 		out = append(out, byte((got[colInWord/64]>>uint(colInWord%64))&1))

@@ -23,10 +23,9 @@ type CTR struct {
 	// CTR_DRBG working state per §10.2.1.1: the AES key and the counter V.
 	key [ctrSeedLen - ctrBlock]byte
 	v   [ctrBlock]byte
-	// block is the AES instance for the current key; CTR_DRBG_Update swaps
-	// the key on every call, so this is re-derived each update (an inherent
-	// per-request allocation of the construction — the ChaCha20 DRBG is the
-	// allocation-free tier).
+	// block is the AES instance for the current key. CTR_DRBG_Update swaps
+	// the key on every call and crypto/aes cannot re-key a cipher in place,
+	// so update builds a new one with aes.NewCipher.
 	block cipher.Block
 
 	// scratch buffers so Generate/Reseed themselves stay off the heap.
@@ -111,6 +110,12 @@ func (c *CTR) padAdditional(additional []byte) (bool, error) {
 }
 
 // Generate implements DRBG per §10.2.1.5.1 (no df).
+//
+// Generate allocates exactly once per call without additional input (twice
+// with it): the closing CTR_DRBG_Update re-keys AES, and aes.NewCipher is
+// the only way the standard library offers to do that. This is the known
+// allocation floor of the CTR tier, pinned by TestCTRGenerateAllocFloor;
+// the ChaCha20 DRBG is the allocation-free tier.
 func (c *CTR) Generate(out, additional []byte) error {
 	if err := c.lim.checkGenerate(len(out)); err != nil {
 		return err

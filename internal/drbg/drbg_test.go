@@ -199,6 +199,26 @@ func TestChaChaGenerateNoAlloc(t *testing.T) {
 	}
 }
 
+// TestCTRGenerateAllocFloor pins CTR_DRBG's known allocation floor: every
+// Generate ends with CTR_DRBG_Update, which installs a new AES key, and the
+// standard library can only re-key by building a new cipher with
+// aes.NewCipher — exactly one allocation per Generate.
+func TestCTRGenerateAllocFloor(t *testing.T) {
+	d, err := NewCTR(make([]byte, ctrSeedLen), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, 1024)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := d.Generate(out, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("CTR Generate allocates %.1f times per op, want exactly 1 (the aes.NewCipher re-key)", allocs)
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.ReseedInterval != DefaultReseedInterval || o.MaxRequestBytes != DefaultMaxRequestBytes {

@@ -94,15 +94,25 @@ func (p Pattern) Bit(row, col int) uint64 {
 
 // FillRow writes the pattern for the given row into a word-aligned bit
 // vector of cols bits. cols must be a positive multiple of 64.
+//
+// Every pattern's column period (1, 2 or walkPeriod) divides walkPeriod, a
+// power of two that divides 64, so a row is one 64-column unit repeated:
+// FillRow reads one period from Bit, doubles it out to the unit and copies
+// the unit across the row.
 func (p Pattern) FillRow(row, cols int) ([]uint64, error) {
 	if cols <= 0 || cols%64 != 0 {
 		return nil, fmt.Errorf("pattern: cols must be a positive multiple of 64, got %d", cols)
 	}
+	var unit uint64
+	for col := 0; col < walkPeriod; col++ {
+		unit |= p.Bit(row, col) << uint(col)
+	}
+	for n := walkPeriod; n < 64; n *= 2 {
+		unit |= unit << uint(n)
+	}
 	out := make([]uint64, cols/64)
-	for col := 0; col < cols; col++ {
-		if p.Bit(row, col) != 0 {
-			out[col>>6] |= 1 << uint(col&63)
-		}
+	for i := range out {
+		out[i] = unit
 	}
 	return out, nil
 }

@@ -116,15 +116,21 @@ func TestWalkingPatternsHaveExactlyOneOnePerPeriod(t *testing.T) {
 
 func TestFillRowMatchesBit(t *testing.T) {
 	for _, p := range All() {
-		row := 3
-		data, err := p.FillRow(row, 256)
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		for col := 0; col < 256; col++ {
-			got := (data[col>>6] >> uint(col&63)) & 1
-			if got != p.Bit(row, col) {
-				t.Fatalf("%v: FillRow bit %d = %d, Bit = %d", p, col, got, p.Bit(row, col))
+		for _, row := range []int{0, 1, 3, 64, 255} {
+			for _, cols := range []int{64, 256, 4096} {
+				data, err := p.FillRow(row, cols)
+				if err != nil {
+					t.Fatalf("%v: %v", p, err)
+				}
+				if len(data) != cols/64 {
+					t.Fatalf("%v: FillRow(%d, %d) returned %d words", p, row, cols, len(data))
+				}
+				for col := 0; col < cols; col++ {
+					got := (data[col>>6] >> uint(col&63)) & 1
+					if got != p.Bit(row, col) {
+						t.Fatalf("%v: FillRow(%d, %d) bit %d = %d, Bit = %d", p, row, cols, col, got, p.Bit(row, col))
+					}
+				}
 			}
 		}
 	}

@@ -21,14 +21,17 @@ type Packed struct {
 }
 
 // PackedCorrector is a Corrector with a packed fast path. Process and
-// ProcessPacked must implement the same transformation bit for bit; the
+// AppendPacked must implement the same transformation bit for bit; the
 // equivalence is pinned by property tests. All built-in correctors implement
 // it; correctors of unknown provenance are fed through Process with an
 // unpack/repack adapter.
 type PackedCorrector interface {
 	Corrector
-	// ProcessPacked returns the corrected bitstream of in, packed.
-	ProcessPacked(in Packed) (Packed, error)
+	// AppendPacked appends the corrected bitstream of in to dst and returns
+	// the extended stream. A streaming caller passes its previous output cut
+	// back to zero length, so once that buffer has grown to its steady-state
+	// size the corrector allocates nothing.
+	AppendPacked(dst, in Packed) (Packed, error)
 }
 
 // PackBits packs a bit-per-byte stream (values 0 or 1).
@@ -73,20 +76,43 @@ func (p Packed) Chunk(off, n int) uint64 {
 	return v
 }
 
-// Slice returns an independent copy of n bits starting at bit off, re-aligned
-// to bit 0.
-func (p Packed) Slice(off, n int) Packed {
-	out := Packed{Data: make([]byte, 0, (n+7)/8)}
-	for n > 0 {
-		take := n
-		if take > 64 {
-			take = 64
+// Drop discards the first n bits (0 <= n <= Len) in place and re-aligns the
+// rest to bit 0, so a stream drained from the front keeps its buffer.
+//
+//drange:noalloc
+func (p *Packed) Drop(n int) {
+	rest := p.Len - n
+	k, s := n>>3, uint(n&7)
+	nb := (rest + 7) >> 3
+	if s == 0 {
+		copy(p.Data, p.Data[k:k+nb])
+	} else {
+		// Byte j gathers source bits from bytes j+k and j+k+1, both at or
+		// after j, so the forward pass never reads a byte it has rewritten.
+		// Bits shifted in from past the old Len are zero, which keeps the
+		// invariant.
+		for j := 0; j < nb; j++ {
+			b := p.Data[j+k] << s
+			if j+k+1 < len(p.Data) {
+				b |= p.Data[j+k+1] >> (8 - s)
+			}
+			p.Data[j] = b
 		}
-		out.AppendChunk(p.Chunk(off, take), take)
-		off += take
-		n -= take
 	}
-	return out
+	p.Data = p.Data[:nb]
+	p.Len = rest
+}
+
+// Truncate keeps only the first n bits (0 <= n <= Len), zeroing the bits of
+// the last byte past the new Len.
+//
+//drange:noalloc
+func (p *Packed) Truncate(n int) {
+	p.Data = p.Data[:(n+7)>>3]
+	if r := n & 7; r != 0 {
+		p.Data[n>>3] &= 0xFF << uint(8-r)
+	}
+	p.Len = n
 }
 
 // AppendBit appends one bit (0 or 1).
@@ -160,13 +186,18 @@ func init() {
 	}
 }
 
-// ProcessPacked implements PackedCorrector: the von Neumann corrector over a
+// ProcessPacked returns the von Neumann-corrected bitstream of in, in a new
+// buffer sized for the corrector's expected yield of one bit in four.
+func (v VonNeumann) ProcessPacked(in Packed) (Packed, error) {
+	return v.AppendPacked(Packed{Data: make([]byte, 0, (in.Len/4+7)/8)}, in)
+}
+
+// AppendPacked implements PackedCorrector: the von Neumann corrector over a
 // packed stream via table-driven pairwise bit extraction, one input byte
 // (four pairs) at a time.
 //
 //drange:noalloc amortized
-func (VonNeumann) ProcessPacked(in Packed) (Packed, error) {
-	out := Packed{Data: make([]byte, 0, (in.Len/4+7)/8)}
+func (VonNeumann) AppendPacked(out, in Packed) (Packed, error) {
 	pairsBits := in.Len &^ 1 // Process ignores a trailing odd bit
 	i := 0
 	for ; i+8 <= pairsBits; i += 8 {
@@ -184,15 +215,14 @@ func (VonNeumann) ProcessPacked(in Packed) (Packed, error) {
 	return out, nil
 }
 
-// ProcessPacked implements PackedCorrector: XOR decimation as parity folds
+// AppendPacked implements PackedCorrector: XOR decimation as parity folds
 // over packed chunks.
 //
 //drange:noalloc amortized
-func (x XORDecimator) ProcessPacked(in Packed) (Packed, error) {
+func (x XORDecimator) AppendPacked(out, in Packed) (Packed, error) {
 	if x.Factor < 2 {
 		return Packed{}, fmt.Errorf("postproc: XOR decimation factor must be at least 2, got %d", x.Factor)
 	}
-	out := Packed{Data: make([]byte, 0, (in.Len/x.Factor+7)/8)}
 	for off := 0; off+x.Factor <= in.Len; off += x.Factor {
 		ones := 0
 		for j := 0; j < x.Factor; j += 64 {
@@ -207,16 +237,15 @@ func (x XORDecimator) ProcessPacked(in Packed) (Packed, error) {
 	return out, nil
 }
 
-// ProcessPacked implements PackedCorrector: SHA-256 conditioning hashing the
+// AppendPacked implements PackedCorrector: SHA-256 conditioning hashing the
 // packed block bytes directly — zero re-encoding when blocks are byte-aligned.
 //
 //drange:noalloc amortized
-func (s SHA256Conditioner) ProcessPacked(in Packed) (Packed, error) {
+func (s SHA256Conditioner) AppendPacked(out, in Packed) (Packed, error) {
 	if s.InputBlockBits < 256 {
 		return Packed{}, fmt.Errorf("postproc: SHA-256 input block must be at least 256 bits, got %d", s.InputBlockBits)
 	}
 	blocks := in.Len / s.InputBlockBits
-	out := Packed{Data: make([]byte, 0, blocks*sha256.Size)}
 	var scratch []byte
 	for i := 0; i < blocks; i++ {
 		off := i * s.InputBlockBits
@@ -236,8 +265,7 @@ func (s SHA256Conditioner) ProcessPacked(in Packed) (Packed, error) {
 			}
 			digest = sha256.Sum256(scratch)
 		}
-		out.Data = append(out.Data, digest[:]...)
-		out.Len += 8 * sha256.Size
+		out.Append(Packed{Data: digest[:], Len: 8 * sha256.Size})
 	}
 	return out, nil
 }

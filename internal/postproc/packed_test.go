@@ -46,23 +46,23 @@ func TestPackedRoundTrip(t *testing.T) {
 		if q.Len != p.Len || !bytes.Equal(q.Unpack(), bits) {
 			t.Fatalf("trial %d: chunked rebuild mismatch", trial)
 		}
-		// Slice keeps order and values.
-		if p.Len > 2 {
-			off := rng.IntN(p.Len - 1)
-			n := 1 + rng.IntN(p.Len-off-1)
-			s := p.Slice(off, n)
-			if !bytes.Equal(s.Unpack(), bits[off:off+n]) {
-				t.Fatalf("trial %d: Slice(%d,%d) mismatch", trial, off, n)
-			}
+		// Drop then Truncate cut out any window in place, with the bytes
+		// (zero padding past Len included) of a freshly packed window.
+		off := rng.IntN(p.Len + 1)
+		n := rng.IntN(p.Len - off + 1)
+		s := Packed{Data: append([]byte(nil), p.Data...), Len: p.Len}
+		s.Drop(off)
+		if want := PackBits(bits[off:]); s.Len != want.Len || !bytes.Equal(s.Data, want.Data) {
+			t.Fatalf("trial %d: Drop(%d) gives %x/%d, want %x/%d", trial, off, s.Data, s.Len, want.Data, want.Len)
+		}
+		s.Truncate(n)
+		if want := PackBits(bits[off : off+n]); s.Len != want.Len || !bytes.Equal(s.Data, want.Data) {
+			t.Fatalf("trial %d: Truncate(%d) after Drop(%d) gives %x/%d, want %x/%d", trial, n, off, s.Data, s.Len, want.Data, want.Len)
 		}
 		// Append onto an unaligned prefix.
-		var u Packed
-		cut := 0
-		if p.Len > 0 {
-			cut = rng.IntN(p.Len)
-		}
-		u.Append(p.Slice(0, cut))
-		u.Append(p.Slice(cut, p.Len-cut))
+		cut := rng.IntN(p.Len + 1)
+		u := PackBits(bits[:cut])
+		u.Append(PackBits(bits[cut:]))
 		if !bytes.Equal(u.Unpack(), bits) {
 			t.Fatalf("trial %d: Append mismatch", trial)
 		}
@@ -70,9 +70,11 @@ func TestPackedRoundTrip(t *testing.T) {
 }
 
 // TestPackedCorrectorEquivalence is the acceptance property test: every
-// built-in corrector's ProcessPacked output must be bit-identical to the
+// built-in corrector's packed output must be bit-identical to the
 // legacy bit-per-byte Process across random inputs, biases and lengths —
-// including lengths not divisible by the corrector's block.
+// including lengths not divisible by the corrector's block — and
+// AppendPacked onto a non-empty, unaligned stream must append exactly that
+// output.
 func TestPackedCorrectorEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	correctors := []Corrector{
@@ -98,13 +100,22 @@ func TestPackedCorrectorEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := pc.ProcessPacked(PackBits(in))
+			got, err := pc.AppendPacked(Packed{}, PackBits(in))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Len != len(want) || !bytes.Equal(got.Unpack(), want) {
 				t.Fatalf("%s: trial %d (n=%d bias=%.1f): packed output %d bits differs from legacy %d bits",
 					c.Name(), trial, n, bias, got.Len, len(want))
+			}
+			prefix := randomBits(rng, rng.IntN(20), 0.5)
+			appended, err := pc.AppendPacked(PackBits(prefix), PackBits(in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := PackBits(append(prefix, want...)); appended.Len != want.Len || !bytes.Equal(appended.Data, want.Data) {
+				t.Fatalf("%s: trial %d: AppendPacked onto %d bits differs from the prefix plus Process output",
+					c.Name(), trial, len(prefix))
 			}
 		}
 	}
@@ -113,10 +124,10 @@ func TestPackedCorrectorEquivalence(t *testing.T) {
 // TestPackedCorrectorParameterErrors: packed implementations reject the same
 // bad parameters as the legacy ones.
 func TestPackedCorrectorParameterErrors(t *testing.T) {
-	if _, err := (XORDecimator{Factor: 1}).ProcessPacked(Packed{}); err == nil {
+	if _, err := (XORDecimator{Factor: 1}).AppendPacked(Packed{}, Packed{}); err == nil {
 		t.Error("packed XOR decimator accepted factor 1")
 	}
-	if _, err := (SHA256Conditioner{InputBlockBits: 128}).ProcessPacked(Packed{}); err == nil {
+	if _, err := (SHA256Conditioner{InputBlockBits: 128}).AppendPacked(Packed{}, Packed{}); err == nil {
 		t.Error("packed SHA-256 conditioner accepted a 128-bit block")
 	}
 }

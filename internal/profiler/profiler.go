@@ -193,12 +193,18 @@ func Run(ctrl *memctrl.Controller, region Region, cfg Config) (*FailureProfile, 
 		Counts:     make(map[CellAddr]int),
 	}
 
-	// Precompute the expected word content per row (pattern only depends on
-	// row parity and column, but FillRow is cheap enough to reuse per row).
-	expectedRow := func(row int) ([]uint64, error) {
-		return cfg.Pattern.FillRow(row, g.ColsPerRow)
+	// The expected content of every row depends only on the pattern, so it
+	// is derived once here rather than on every iteration.
+	expected := make([][]uint64, region.RowCount)
+	for i := range expected {
+		row, err := cfg.Pattern.FillRow(region.RowStart+i, g.ColsPerRow)
+		if err != nil {
+			return nil, err
+		}
+		expected[i] = row
 	}
 
+	got := make([]uint64, wordU64s)
 	if err := ctrl.SetReducedTRCD(cfg.TRCDNS); err != nil {
 		return nil, err
 	}
@@ -207,11 +213,7 @@ func Run(ctrl *memctrl.Controller, region Region, cfg Config) (*FailureProfile, 
 	for it := 0; it < cfg.Iterations; it++ {
 		for w := region.WordStart; w < region.WordStart+region.WordCount; w++ {
 			for row := region.RowStart; row < region.RowStart+region.RowCount; row++ {
-				expected, err := expectedRow(row)
-				if err != nil {
-					return nil, err
-				}
-				expWord := expected[w*wordU64s : (w+1)*wordU64s]
+				expWord := expected[row-region.RowStart][w*wordU64s : (w+1)*wordU64s]
 
 				// Lines 6-7: fully refresh the row so every iteration starts
 				// from the same charge state.
@@ -220,8 +222,7 @@ func Run(ctrl *memctrl.Controller, region Region, cfg Config) (*FailureProfile, 
 				}
 				// Lines 8-10: activate with reduced tRCD, read the word,
 				// precharge.
-				got, _, err := ctrl.ReadWord(region.Bank, row, w)
-				if err != nil {
+				if _, err := ctrl.ReadWordInto(region.Bank, row, w, got); err != nil {
 					return nil, err
 				}
 				// Line 11: record activation failures.
