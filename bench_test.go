@@ -605,177 +605,6 @@ func BenchmarkPoolScaling(b *testing.B) {
 	}
 }
 
-// benchSource opens a Source over the first characterized pool profile with
-// the given extra options, shared by the serving-path benchmarks below.
-func benchSource(b *testing.B, opts ...drange.Option) drange.Source {
-	b.Helper()
-	profile := poolProfiles(b, 1)[0]
-	src, err := drange.Open(context.Background(), profile, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { src.Close() })
-	return src
-}
-
-// BenchmarkSourceRead measures the steady-state serving path of a Source with
-// no health monitor and no post-processing chain — the configuration the
-// packed-word fast path serves. bytes/sec is the wall-clock simulation-host
-// rate; the allocation counters are the acceptance metric for the
-// allocation-free data path (BENCH_pr5.json records the trajectory).
-func BenchmarkSourceRead(b *testing.B) {
-	for _, cfg := range []struct {
-		name   string
-		shards int
-	}{{"sequential", 0}, {"shards=4", 4}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			src := benchSource(b, drange.WithShards(cfg.shards))
-			buf := make([]byte, 1024)
-			b.SetBytes(int64(len(buf)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := src.Read(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSourceRead8Readers drives a sharded Source from 8 concurrent
-// readers: the serving path must scale with demand instead of serializing
-// behind the facade mutex.
-func BenchmarkSourceRead8Readers(b *testing.B) {
-	src := benchSource(b, drange.WithShards(4))
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		buf := make([]byte, 1024)
-		for pb.Next() {
-			if _, err := src.Read(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkPoolRead measures the multi-device Pool serving path (4 devices,
-// device health tracking at its defaults).
-func BenchmarkPoolRead(b *testing.B) {
-	profiles := poolProfiles(b, 4)
-	pool, err := drange.OpenPool(context.Background(), profiles)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pool.Close()
-	buf := make([]byte, 1024)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pool.Read(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPoolRead8Readers drives a 4-device pool from 8 concurrent readers:
-// the acceptance check that concurrent pool reads scale instead of
-// serializing behind the pool mutex.
-func BenchmarkPoolRead8Readers(b *testing.B) {
-	profiles := poolProfiles(b, 4)
-	pool, err := drange.OpenPool(context.Background(), profiles)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pool.Close()
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		buf := make([]byte, 1024)
-		for pb.Next() {
-			if _, err := pool.Read(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkMonitoredRead measures the serving path with the SP 800-90B online
-// health tests ingesting every harvested bit.
-func BenchmarkMonitoredRead(b *testing.B) {
-	src := benchSource(b, drange.WithShards(4),
-		drange.WithHealthTests(drange.HealthTestPolicy{StartupBits: -1}))
-	buf := make([]byte, 1024)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := src.Read(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDRBGRead measures the two-tier serving split introduced by
-// WithDRBG: "drbg" is Source.Read serving ChaCha20 DRBG output reseeded from
-// the screened raw harvest every 1024 requests, "drbg-ctr" the CTR_DRBG
-// construction, and "raw" the same Source's ReadRaw physical tier. The
-// acceptance metrics are the drbg/raw throughput ratio (the DRBG tier must
-// serve at crypto speed, orders of magnitude above the simulated harvest
-// rate) and 0 steady-state allocs/op on the ChaCha tier.
-func BenchmarkDRBGRead(b *testing.B) {
-	run := func(b *testing.B, src drange.Source, read func([]byte) (int, error)) {
-		buf := make([]byte, 1024)
-		// Warm up past instantiation so reseed cadence, not open-time setup,
-		// is what the steady state measures.
-		if _, err := read(buf); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(buf)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := read(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("drbg", func(b *testing.B) {
-		src := benchSource(b, drange.WithShards(4), drange.WithDRBG(drange.DRBGPolicy{}))
-		run(b, src, src.Read)
-	})
-	b.Run("drbg-ctr", func(b *testing.B) {
-		src := benchSource(b, drange.WithShards(4),
-			drange.WithDRBG(drange.DRBGPolicy{Algorithm: drange.DRBGCTRAES256}))
-		run(b, src, src.Read)
-	})
-	b.Run("raw", func(b *testing.B) {
-		src := benchSource(b, drange.WithShards(4), drange.WithDRBG(drange.DRBGPolicy{}))
-		run(b, src, src.ReadRaw)
-	})
-}
-
-// BenchmarkPostprocessedRead measures the serving path through a von Neumann
-// corrector chain (Section 2.2), the heaviest-discarding built-in stage.
-func BenchmarkPostprocessedRead(b *testing.B) {
-	src := benchSource(b, drange.WithShards(4), drange.WithPostprocess(drange.VonNeumann()))
-	buf := make([]byte, 1024)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := src.Read(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTRNGReadThroughput measures the simulator-host throughput of the
 // generator's Read path (bytes of random data per wall-clock second on the
 // simulation host — not the DRAM-timing throughput of Figure 8).

@@ -78,7 +78,7 @@ func main() {
 		nBytes        = flag.Int("bytes", 32, "number of random bytes to generate")
 		out           = flag.String("out", "", "write raw bytes to this file instead of hex to stdout")
 		deterministic = flag.Bool("deterministic", false, "use a seeded noise source (reproducible output, NOT for keys)")
-		parallel      = flag.Int("parallel", 0, "harvest with a sharded engine using this many parallel controllers per device, clamped to the bank count (0 = sequential; pools default to 1)")
+		parallel      = flag.Int("parallel", 0, "harvest with a sharded engine using this many parallel controllers per device, clamped to the bank count (0 selects 1)")
 		devices       = flag.Int("devices", 1, "open a multi-device pool of this many devices (serials serial..serial+N-1, characterized individually)")
 		backend       = flag.String("backend", "", "device backend: sim (default), replay, faulty, or a registered name")
 		tier          = flag.String("tier", "raw", "serving tier: raw (physical harvested bits) or drbg (ChaCha20 DRBG reseeded from the health-screened harvest; implies the online health tests)")

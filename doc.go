@@ -9,11 +9,11 @@
 // two-phase lifecycle: drange.Characterize runs the one-time-per-device
 // RNG-cell identification (Sections 6.1–6.2) and returns a serializable
 // drange.Profile; drange.Open starts a drange.Source against a device
-// matching the profile without re-running identification. WithShards selects
-// the sequential sampler (0) or the concurrent sharded engine (n > 0) behind
-// the same Source interface, and WithPostprocess attaches the Section 2.2
-// corrector chain. No internal type appears in an exported drange
-// signature. The simulated substrates live under internal/:
+// matching the profile without re-running identification. Every Source
+// harvests through the sharded engine, WithShards sets its shard count (one
+// by default), and WithPostprocess attaches the Section 2.2 corrector chain.
+// No internal type appears in an exported drange signature. The simulated
+// substrates live under internal/:
 //
 //   - internal/device — the device contract the whole pipeline is written
 //     against; every layer below accepts this interface, not a concrete
@@ -26,8 +26,8 @@
 //     tRCD, per-bank state machines, tRRD/tFAW, bus occupancy, refresh.
 //   - internal/core — D-RaNGe itself: RNG-cell identification (Section
 //     6.1), bank-word selection (Section 6.2), the single-shard TRNG
-//     sampler (Algorithm 2) and the sharded Engine that composes one TRNG
-//     per simulated channel/rank for multi-bank parallel harvesting.
+//     (Algorithm 2) and the sharded Engine that composes one TRNG per
+//     simulated channel/rank for multi-bank parallel harvesting.
 //   - internal/health — the SP 800-90B style online health tests
 //     (Repetition Count Test, Adaptive Proportion Test, windowed bias
 //     monitor, startup self-test) that guard every Source's hot path.
@@ -109,15 +109,17 @@
 //
 // # TRNG versus Engine
 //
-// core.TRNG is the sequential single-shard core: one memory controller
-// walking its selected banks, buffering harvested bits in a packed 64-bit
-// word queue. core.Engine partitions the bank selections across several
-// controllers — one simulated channel/rank per shard — and runs one
-// harvesting goroutine per shard into bounded per-shard rings of packed
-// words, drained round-robin by a thread-safe io.Reader facade. The
-// per-shard throughput/latency accounting (Source.Stats) reproduces the
-// paper's claim that D-RaNGe throughput scales with the number of banks and
-// channels sampled in parallel (Figure 8, Table 2).
+// core.TRNG is the single-shard core: one memory controller walking its
+// selected banks, buffering harvested bits in a packed 64-bit word queue.
+// core.Engine partitions the bank selections across several controllers —
+// one simulated channel/rank per shard — and runs one TRNG per shard on its
+// own harvesting goroutine into bounded per-shard rings of packed words,
+// drained round-robin by a thread-safe io.Reader facade. Every drange Source
+// is engine-backed; a 1-shard engine serves exactly the byte stream of one
+// TRNG over the same selections. The per-shard throughput/latency accounting
+// (Source.Stats) reproduces the paper's claim that D-RaNGe throughput scales
+// with the number of banks and channels sampled in parallel (Figure 8,
+// Table 2).
 //
 // # The packed serving path
 //
@@ -126,8 +128,8 @@
 // the packed shard rings (no intermediate bit-per-byte slice, zero
 // steady-state allocations), the post-processing correctors and the online
 // health monitor both operate on the packed stream, and ReadBits remains a
-// thin unpacking adapter for callers that want individual bits. A sharded
-// Source without monitor or post chain reads lock-free behind the engine's
+// thin unpacking adapter for callers that want individual bits. A Source
+// without monitor or post chain reads lock-free behind the engine's
 // consumer lock; a Pool in the same configuration schedules concurrent
 // readers onto its least-loaded members with atomic counters, so
 // multi-reader throughput scales instead of serializing behind the pool
@@ -138,7 +140,6 @@
 // workloads and metrics.
 //
 // The benchmark harness in bench_test.go regenerates every table and figure
-// of the paper's evaluation; see README.md for the module guide and the
-// migration table from the deprecated drange.New API, and bench/README.md
-// for the measured performance of each layer.
+// of the paper's evaluation; see README.md for the module guide and
+// bench/README.md for the measured performance of each layer.
 package repro

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/memctrl"
@@ -47,11 +48,11 @@ func TestBackendRegistry(t *testing.T) {
 // pipeline. countingDevice also proves WithDevice wiring end to end.
 type countingDevice struct {
 	Device
-	reads int64
+	reads atomic.Int64
 }
 
 func (c *countingDevice) ReadWord(bank, wordIdx int) ([]uint64, error) {
-	c.reads++
+	c.reads.Add(1)
 	return c.Device.ReadWord(bank, wordIdx)
 }
 
@@ -76,7 +77,7 @@ func TestWithDeviceCustomBackend(t *testing.T) {
 	if _, err := src.Read(buf); err != nil {
 		t.Fatal(err)
 	}
-	if dev.reads == 0 {
+	if dev.reads.Load() == 0 {
 		t.Error("generation did not flow through the WithDevice device")
 	}
 	if g := src.(*Generator); g.Backend() != "custom" {

@@ -12,20 +12,19 @@
 //	if err != nil { ... }
 //	// persist: data, _ := profile.Encode(); os.WriteFile("device.json", data, 0o600)
 //
-//	src, err := drange.Open(ctx, profile)            // sequential sampler
-//	src, err = drange.Open(ctx, profile, drange.WithShards(4)) // sharded engine
+//	src, err := drange.Open(ctx, profile)            // one harvesting shard
+//	src, err = drange.Open(ctx, profile, drange.WithShards(4)) // four shards
 //	if err != nil { ... }
 //	defer src.Close()
 //	buf := make([]byte, 32)
 //	if _, err := src.Read(buf); err != nil { ... }   // 32 true random bytes
 //
 // Both forms return the same Source interface (io.ReadCloser + ReadBits +
-// Uint64 + Stats); WithShards only changes throughput and thread scheduling.
-// Configuration uses functional options (WithManufacturer, WithSerial,
-// WithDeterministic, WithGeometry, WithTRCD, WithProfilingRegion,
-// WithPaperIdentification, WithShards, WithPostprocess, ...), which
-// distinguish unset parameters from explicit zeros. The deprecated New and
-// Config remain as thin shims over the new API.
+// Uint64 + Stats) over the sharded harvesting engine; WithShards only changes
+// throughput and thread scheduling. Configuration uses functional options
+// (WithManufacturer, WithSerial, WithDeterministic, WithGeometry, WithTRCD,
+// WithProfilingRegion, WithPaperIdentification, WithShards, WithPostprocess,
+// ...), which distinguish unset parameters from explicit zeros.
 //
 // Devices are opened through pluggable backends implementing the public
 // Device contract: "sim" (the default simulator), "replay" (operation-log
@@ -120,7 +119,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/memctrl"
 	"repro/internal/nist"
-	"repro/internal/pattern"
 	"repro/internal/power"
 	"repro/internal/profiler"
 	"repro/internal/timing"
@@ -302,12 +300,12 @@ func Characterize(ctx context.Context, opts ...Option) (*Profile, error) {
 // profile) errors loudly — RNG-cell locations are per-device process
 // variation, and sampling the wrong device's cells would not be random.
 //
-// WithShards(0), the default, opens the sequential single-controller
-// sampler; WithShards(n) for n > 0 starts the concurrent sharded engine, and
-// ctx cancellation stops its harvesting goroutines. Both return the same
-// Source interface and, under deterministic noise, the same byte stream per
-// shard layout. The concrete type is *Generator, which additionally exposes
-// the profile and the paper's throughput/latency/energy estimators.
+// The Source harvests through the sharded engine: WithShards(n) starts n
+// per-shard controllers, and WithShards(0), the default, starts one. Under
+// deterministic noise the byte stream depends only on the shard layout. ctx
+// cancellation stops the harvesting goroutines. The concrete type is
+// *Generator, which additionally exposes the profile and the paper's
+// throughput/latency/energy estimators.
 //
 //drange:holds mu construction: the Generator is not published until Open returns
 func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error) {
@@ -330,6 +328,10 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 	// Resolve the DRBG tier first: it implies the health tests, so the
 	// monitor construction below must already see the implied policy.
 	drbgPolicy, drbgOn, err := o.resolveDRBG()
+	if err != nil {
+		return nil, err
+	}
+	shards, err := o.shardCount()
 	if err != nil {
 		return nil, err
 	}
@@ -381,16 +383,7 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 		return fail(fmt.Errorf("drange: device mismatch: profile geometry %+v differs from the device's %+v", profile.Geometry, dg))
 	}
 
-	g := &Generator{
-		profile: profile,
-		dev:     dev,
-		pubDev:  pub,
-		ownsDev: ownsDev,
-		backend: backend,
-		pat:     pat,
-		trcdNS:  trcd,
-		sels:    sels,
-	}
+	g := &Generator{profile: profile, trcdNS: trcd, sels: sels}
 	// The generator serves as a 1-member pool on the shared serving core:
 	// idx -1 is the Device value its HealthErrors report, and the pool
 	// device-health policy (bias/temperature windows) stays disabled — it is
@@ -401,13 +394,13 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 		backend: backend,
 		pub:     pub,
 		dev:     dev,
+		shards:  shards,
 		trcdNS:  trcd,
 		ownsDev: ownsDev,
 	}
 	g.single = true
 	g.members = []*servingMember{m}
 	g.policy = HealthPolicy{Disabled: true}
-	g.closeHook = g.closeLegacyLocked
 	if len(o.post) > 0 {
 		chain, err := newPostChain(o.post)
 		if err != nil {
@@ -415,39 +408,17 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 		}
 		g.post = chain
 	}
-	shards := 0
-	if o.shards != nil {
-		shards = *o.shards
+	eng, err := core.NewEngine(ctx, dev, sels, core.EngineConfig{
+		Shards: shards,
+		TRNG:   core.TRNGConfig{TRCDNS: trcd, Pattern: pat},
+	})
+	if err != nil {
+		return fail(fmt.Errorf("drange: %w", err))
 	}
-	if shards < 0 {
-		return fail(fmt.Errorf("drange: negative shard count %d", shards))
-	}
-	if shards == 0 {
-		ctrl := memctrl.NewController(dev)
-		trng, err := core.NewTRNG(ctrl, sels, core.TRNGConfig{TRCDNS: trcd, Pattern: pat})
-		if err != nil {
-			return fail(fmt.Errorf("drange: %w", err))
-		}
-		g.ctrl, g.trng = ctrl, trng
-		m.src = trng
-	} else {
-		eng, err := core.NewEngine(ctx, dev, sels, core.EngineConfig{
-			Shards: shards,
-			TRNG:   core.TRNGConfig{TRCDNS: trcd, Pattern: pat},
-		})
-		if err != nil {
-			return fail(fmt.Errorf("drange: %w", err))
-		}
-		g.eng = eng
-		m.src, m.eng = eng, eng
-		m.shards = shards
-		m.fastEng.Store(eng)
-		// The engine is thread-safe, so the core's lock-free fast path is
-		// available (the sequential TRNG sampler is not).
-		g.concurrent = true
-	}
+	m.eng = eng
+	m.fastEng.Store(eng)
 	if o.healthTests != nil && !o.healthTests.Disabled {
-		// The sampler is live from here on, so failures release it through
+		// The engine is live from here on, so failures release it through
 		// Close (stopping harvest goroutines), not the bare device closer.
 		failStarted := func(err error) (Source, error) {
 			g.Close()
@@ -480,48 +451,22 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 	return g, nil
 }
 
-// Generator is the concrete Source returned by Open (and by the deprecated
-// New). Beyond the Source interface it exposes the profile it runs under and
-// the evaluation estimators of Section 7.3. It is safe for concurrent use.
+// Generator is the concrete Source returned by Open. Beyond the Source
+// interface it exposes the profile it runs under and the evaluation
+// estimators of Section 7.3, which run on a private simulated LPDDR4 twin of
+// the device built from the profile, never on the live device. It is safe
+// for concurrent use.
 //
 // A Generator is served as a 1-member pool: the embedded servingCore carries
-// the single member (health monitor, DRBG state, tier accounting) and
-// implements Read, ReadBits, ReadRaw, Uint64 and Close — the same
-// implementations a Pool serves through.
+// the single member (engine, device, health monitor, DRBG state, tier
+// accounting) and implements Read, ReadBits, ReadRaw, Uint64 and Close — the
+// same implementations a Pool serves through.
 type Generator struct {
 	servingCore
 
 	profile *Profile
-	dev     device.Device
-	// pubDev is the public backend view of dev; ownsDev records whether the
-	// generator opened it (and must close it) or the caller supplied it via
-	// WithDevice. backend is the backend name the device came from.
-	pubDev  Device
-	ownsDev bool
-	backend string
-	pat     pattern.Pattern
 	trcdNS  float64
 	sels    []core.BankSelection
-
-	// Exactly one of trng (sequential) and eng (sharded) is non-nil; the
-	// serving member's sampler is the same object.
-	ctrl *memctrl.Controller
-	trng *core.TRNG
-	eng  *core.Engine
-
-	// legacy is the Engine attached through the deprecated Engine method;
-	// while set, estimates refuse to run (their fresh controllers would
-	// desynchronise the running shards' bank state).
-	legacy *Engine // drange:guardedby mu
-}
-
-// closeLegacyLocked stops an engine attached through the deprecated Engine
-// method. It runs as the serving core's closeHook, under mu.
-func (g *Generator) closeLegacyLocked() {
-	if g.legacy != nil {
-		g.legacy.eng.Close()
-		g.legacy = nil
-	}
 }
 
 // Profile returns the device profile this generator runs under.
@@ -530,22 +475,17 @@ func (g *Generator) Profile() *Profile { return g.profile }
 // Backend returns the name of the device backend this generator samples
 // ("sim" unless WithBackend or WithDevice chose otherwise; "custom" for a
 // WithDevice device).
-func (g *Generator) Backend() string { return g.backend }
+func (g *Generator) Backend() string { return g.members[0].backend }
 
 // Device returns the public view of the device this generator samples.
-func (g *Generator) Device() Device { return g.pubDev }
+func (g *Generator) Device() Device { return g.members[0].pub }
 
 // Banks returns the number of banks sampled for generation.
 func (g *Generator) Banks() int { return len(g.sels) }
 
-// Shards returns the number of parallel harvesting shards (0 for the
-// sequential sampler).
-func (g *Generator) Shards() int {
-	if g.eng != nil {
-		return g.eng.Shards()
-	}
-	return 0
-}
+// Shards returns the number of parallel harvesting shards: the WithShards
+// count (1 by default), clamped to the number of selected banks.
+func (g *Generator) Shards() int { return g.members[0].eng.Shards() }
 
 // Cells returns the RNG cells sampled for generation, with the profile's
 // delta chain resolved.
@@ -560,118 +500,64 @@ func (g *Generator) Selections() []Selection { return g.profile.EffectiveSelecti
 func (g *Generator) DensityHistograms() []Density { return g.profile.DensityHistograms() }
 
 // Stats returns the per-shard and aggregate throughput/latency accounting in
-// simulated DRAM time. A sequential generator reports itself as one shard.
+// simulated DRAM time.
 func (g *Generator) Stats() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.eng != nil {
-		st := statsFromEngine(g.eng.Stats())
-		// Per-shard delivery counts bits drained from the shard rings; the
-		// aggregate reports what callers actually received (they differ
-		// only under a post-processing chain).
-		st.BitsDelivered = g.delivered.Load()
-		st.Health = g.healthStatsLocked()
-		g.tierStatsLocked(&st)
-		return st
-	}
-	bits := g.trng.BitsGenerated()
-	cycles := g.ctrl.Now()
-	ns := g.ctrl.Params().NS(cycles)
-	ss := ShardStats{
-		Shard:            0,
-		Banks:            g.trng.Banks(),
-		BitsPerIteration: g.trng.BitsPerIteration(),
-		BitsHarvested:    bits,
-		BitsDelivered:    g.members[0].fetched.Load(),
-		SimCycles:        cycles,
-		SimNS:            ns,
-	}
-	if ns > 0 && bits > 0 {
-		ss.ThroughputMbps = float64(bits) / ns * 1000.0
-		ss.Latency64NS = ns / float64(bits) * 64.0
-	}
-	st := Stats{
-		Shards:                  []ShardStats{ss},
-		BitsHarvested:           bits,
-		BitsDelivered:           g.delivered.Load(),
-		AggregateThroughputMbps: ss.ThroughputMbps,
-		Latency64NS:             ss.Latency64NS,
-		Health:                  g.healthStatsLocked(),
-	}
+	st := statsFromEngine(g.members[0].eng.Stats())
+	// Per-shard delivery counts bits drained from the shard rings; the
+	// aggregate reports what callers actually received (they differ only
+	// under a post-processing chain).
+	st.BitsDelivered = g.delivered.Load()
+	st.Health = g.healthStatsLocked()
 	g.tierStatsLocked(&st)
 	return st
 }
 
-// errEngineActive is returned by the estimators while harvesting shards own
-// the device.
-func errEngineActive() error {
-	return fmt.Errorf("drange: estimates unavailable while a harvesting engine is active on this device: the estimator's fresh controller would race the shards' bank state; Close the engine (or open a sequential Source) first")
+// twinController returns a controller over a private simulated twin of the
+// generator's device, built from the profile's identity and geometry. The
+// estimators drive the twin, never the live device: their results depend only
+// on the LPDDR4 timing model, the geometry and the selections, so estimating
+// neither pauses the harvest nor consumes the device's noise. The twin's own
+// noise is seeded, since no estimate depends on it.
+func (g *Generator) twinController(opts ...memctrl.Option) (*memctrl.Controller, error) {
+	p := g.profile
+	dev, err := newDevice(p.Manufacturer, p.Serial, true, p.Geometry)
+	if err != nil {
+		return nil, err
+	}
+	return memctrl.NewController(dev, opts...), nil
 }
 
-// estimate runs fn while holding the generator lock, guarding against an
-// active engine and re-synchronising the sequential sampler's bank state
-// afterwards (the estimator's fresh controller precharges the device).
-func (g *Generator) estimate(fn func() error) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed.Load() {
-		return fmt.Errorf("drange: source is closed")
-	}
-	if g.eng != nil || g.legacy != nil {
-		return errEngineActive()
-	}
-	err := fn()
-	if rerr := g.resyncBanks(); rerr != nil && err == nil {
-		err = rerr
-	}
-	return err
-}
-
-// resyncBanks restores the "all banks precharged" state both in the device
-// and in the sequential controller's view of it, after another controller
-// has driven the device.
-func (g *Generator) resyncBanks() error {
-	if g.ctrl == nil {
-		return nil
-	}
-	for bank := 0; bank < g.dev.Geometry().Banks; bank++ {
-		// Sync the controller's bank-state machine first (issues a PRE for
-		// rows it believes open), then close whatever the estimator's
-		// controller actually left open in the device.
-		if err := g.ctrl.PrechargeBank(bank); err != nil {
-			return fmt.Errorf("drange: resynchronising bank %d: %w", bank, err)
-		}
-		if err := g.dev.Precharge(bank); err != nil {
-			return fmt.Errorf("drange: resynchronising bank %d: %w", bank, err)
-		}
+// checkBanks rejects a bank count outside [1, Banks()].
+func (g *Generator) checkBanks(banks int) error {
+	if banks <= 0 || banks > len(g.sels) {
+		return fmt.Errorf("drange: %d banks requested but the profile selects %d; pass a value in [1,%d]", banks, len(g.sels), len(g.sels))
 	}
 	return nil
 }
 
 // EstimateThroughput measures the single-channel throughput (Mb/s) with the
-// given number of banks on a fresh controller over the same device — the
-// computation behind Figure 8. banks must be in [1, Banks()]; out-of-range
-// values error rather than silently clamping.
+// given number of banks — the computation behind Figure 8. banks must be in
+// [1, Banks()]; out-of-range values error rather than silently clamping.
 func (g *Generator) EstimateThroughput(banks, iterations int) (Throughput, error) {
-	var out Throughput
-	err := g.estimate(func() error {
-		if banks <= 0 || banks > len(g.sels) {
-			return fmt.Errorf("drange: %d banks requested but the profile selects %d; pass a value in [1,%d]", banks, len(g.sels), len(g.sels))
-		}
-		ctrl := memctrl.NewController(g.dev)
-		res, err := core.ThroughputEstimate(ctrl, g.sels, g.trcdNS, banks, iterations)
-		if err != nil {
-			return fmt.Errorf("drange: %w", err)
-		}
-		out = Throughput{
-			Banks:            res.Banks,
-			BitsPerIteration: res.BitsPerIteration,
-			NSPerIteration:   res.NSPerIteration,
-			ThroughputMbps:   res.ThroughputMbps,
-		}
-		return nil
-	})
-	return out, err
+	if err := g.checkBanks(banks); err != nil {
+		return Throughput{}, err
+	}
+	ctrl, err := g.twinController()
+	if err != nil {
+		return Throughput{}, err
+	}
+	res, err := core.ThroughputEstimate(ctrl, g.sels, g.trcdNS, banks, iterations)
+	if err != nil {
+		return Throughput{}, fmt.Errorf("drange: %w", err)
+	}
+	return Throughput{
+		Banks:            res.Banks,
+		BitsPerIteration: res.BitsPerIteration,
+		NSPerIteration:   res.NSPerIteration,
+		ThroughputMbps:   res.ThroughputMbps,
+	}, nil
 }
 
 // EstimateLatency measures the time in nanoseconds to produce bits random
@@ -679,20 +565,18 @@ func (g *Generator) EstimateThroughput(banks, iterations int) (Throughput, error
 // analysis, whose bounds come from a single sparse bank (worst case) versus
 // every bank of every channel (best case).
 func (g *Generator) EstimateLatency(banks, bits int) (float64, error) {
-	var out float64
-	err := g.estimate(func() error {
-		if banks <= 0 || banks > len(g.sels) {
-			return fmt.Errorf("drange: %d banks requested but the profile selects %d; pass a value in [1,%d]", banks, len(g.sels), len(g.sels))
-		}
-		ctrl := memctrl.NewController(g.dev)
-		lat, err := core.LatencyEstimate(ctrl, g.sels, g.trcdNS, banks, bits)
-		if err != nil {
-			return fmt.Errorf("drange: %w", err)
-		}
-		out = lat
-		return nil
-	})
-	return out, err
+	if err := g.checkBanks(banks); err != nil {
+		return 0, err
+	}
+	ctrl, err := g.twinController()
+	if err != nil {
+		return 0, err
+	}
+	lat, err := core.LatencyEstimate(ctrl, g.sels, g.trcdNS, banks, bits)
+	if err != nil {
+		return 0, fmt.Errorf("drange: %w", err)
+	}
+	return lat, nil
 }
 
 // EstimateLatency64 measures the time in nanoseconds to produce 64 random
@@ -704,17 +588,15 @@ func (g *Generator) EstimateLatency64() (float64, error) {
 // EstimateEnergyPerBit returns the marginal energy per generated bit in
 // nanojoules, using the LPDDR4 power model (Section 7.3).
 func (g *Generator) EstimateEnergyPerBit(iterations int) (float64, error) {
-	var out float64
-	err := g.estimate(func() error {
-		ctrl := memctrl.NewController(g.dev, memctrl.WithTrace())
-		nj, err := core.EnergyEstimate(ctrl, g.sels, g.trcdNS, len(g.sels), iterations, power.NewLPDDR4Model())
-		if err != nil {
-			return fmt.Errorf("drange: %w", err)
-		}
-		out = nj
-		return nil
-	})
-	return out, err
+	ctrl, err := g.twinController(memctrl.WithTrace())
+	if err != nil {
+		return 0, err
+	}
+	nj, err := core.EnergyEstimate(ctrl, g.sels, g.trcdNS, len(g.sels), iterations, power.NewLPDDR4Model())
+	if err != nil {
+		return 0, fmt.Errorf("drange: %w", err)
+	}
+	return nj, nil
 }
 
 // maxNISTBits bounds a RunNIST request: the battery needs the whole stream

@@ -3,6 +3,8 @@ package drange
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	mrand "math/rand/v2"
 	"strings"
@@ -160,7 +162,7 @@ func TestOpenEndToEnd(t *testing.T) {
 		t.Errorf("stats = %+v, want positive throughput and latency", st)
 	}
 	if len(st.Shards) != 1 {
-		t.Errorf("sequential source reports %d shards, want 1", len(st.Shards))
+		t.Errorf("default source reports %d shards, want 1", len(st.Shards))
 	}
 
 	if _, err := src.Read(nil); err != nil {
@@ -175,25 +177,32 @@ func TestOpenEndToEnd(t *testing.T) {
 }
 
 // TestOpenSkipsIdentification is the acceptance check that Open performs no
-// identification work: a freshly opened generator has issued zero reads and
-// zero reduced-tRCD activations against the device — preparation writes data
-// patterns only — while characterization performs hundreds of thousands.
+// identification work. The engine harvests ahead of the reader, but at most
+// one ring (32 words) plus one batch (256 bits) — the core.EngineConfig
+// defaults — before its shard blocks: about a thousand reads and reduced-tRCD
+// activations on this profile, where characterization performs hundreds of
+// thousands.
 func TestOpenSkipsIdentification(t *testing.T) {
 	src := openQuick(t)
 	g := src.(*Generator)
-	st := g.dev.Stats()
-	if st.Reads != 0 {
-		t.Errorf("Open issued %d device reads; identification must not run on the open path", st.Reads)
+	dev := g.members[0].dev
+	const aheadBits = 32*64 + 256
+	iters := (aheadBits+g.profile.BitsPerIteration()-1)/g.profile.BitsPerIteration() + 1
+	// Every core-loop iteration reads, and activates, two words per bank.
+	maxOps := int64(iters * 2 * g.Banks())
+	st := dev.Stats()
+	if st.Reads > maxOps {
+		t.Errorf("Open issued %d device reads, more than the %d of one harvest-ahead ring; identification must not run on the open path", st.Reads, maxOps)
 	}
-	if st.ReducedTRCDAct != 0 {
-		t.Errorf("Open issued %d reduced-tRCD activations; profiling must not run on the open path", st.ReducedTRCDAct)
+	if st.ReducedTRCDAct > maxOps {
+		t.Errorf("Open issued %d reduced-tRCD activations, more than the %d of one harvest-ahead ring; profiling must not run on the open path", st.ReducedTRCDAct, maxOps)
 	}
 	if _, err := src.ReadBits(64); err != nil {
 		t.Fatal(err)
 	}
-	st = g.dev.Stats()
+	st = dev.Stats()
 	if st.ReducedTRCDAct == 0 {
-		t.Error("generation performed no reduced-tRCD activations; sampler not wired to the device")
+		t.Error("generation performed no reduced-tRCD activations; engine not wired to the device")
 	}
 }
 
@@ -363,7 +372,79 @@ func TestSequentialOpenDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1, b2) {
-		t.Error("two sequential opens of the same deterministic profile diverge")
+		t.Error("two default opens of the same deterministic profile diverge")
+	}
+}
+
+// TestDefaultOpenStreamPinned pins the bytes a Source opened with no shard
+// option serves: the SHA-256 of 32 KiB, a 13-bit ReadBits residue and 32 KiB
+// more, on the raw tier, the DRBG tier and the raw tier through von Neumann.
+// The digests date from when the default Source ran one core.TRNG on a
+// single controller; the 1-shard engine serves the same stream.
+func TestDefaultOpenStreamPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		raw  bool
+		want string
+	}{
+		{"raw", nil, false, "6e1056b5ca3bb62bac7427ccbd8903f6c5b362b30272da27fc5af1094835cae7"},
+		{"drbg", []Option{WithDRBG(DRBGPolicy{})}, false, "06789475bb068b48308affd9491e4ed1b8efb4527647325d87452ee99a40f92e"},
+		{"von-neumann-raw", []Option{WithPostprocess(VonNeumann())}, true, "e028b5628d2c987935f614043f506545ee7b22b2e81a5462c7ea63cca7f3b747"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := openQuick(t, tc.opts...)
+			read := src.Read
+			if tc.raw {
+				read = src.ReadRaw
+			}
+			h := sha256.New()
+			buf := make([]byte, 32<<10)
+			if _, err := read(buf); err != nil {
+				t.Fatal(err)
+			}
+			h.Write(buf)
+			bits, err := src.ReadBits(13)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(bits)
+			if _, err := read(buf); err != nil {
+				t.Fatal(err)
+			}
+			h.Write(buf)
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("default stream digest = %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestDefaultSourceConcurrentReads drives the default Source's lock-free
+// read path and Stats from several goroutines under the race detector: the
+// harvest runs on the engine's goroutine, so every reader shares it.
+func TestDefaultSourceConcurrentReads(t *testing.T) {
+	src := openQuick(t)
+	const readers, reads, size = 4, 8, 256
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, size)
+			for i := 0; i < reads; i++ {
+				if _, err := src.Read(buf); err != nil {
+					t.Errorf("concurrent read: %v", err)
+					return
+				}
+				src.Stats()
+			}
+		}()
+	}
+	wg.Wait()
+	st := src.Stats()
+	if want := int64(readers * reads * size * 8); st.BitsDelivered != want || st.TierRaw.Bytes*8 != want {
+		t.Errorf("BitsDelivered = %d, TierRaw = %+v; want %d bits", st.BitsDelivered, st.TierRaw, want)
 	}
 }
 
@@ -400,43 +481,76 @@ func TestGeneratorEstimates(t *testing.T) {
 		t.Error("zero banks accepted")
 	}
 
-	// Estimates resynchronise bank state: generation still works afterwards.
 	buf := make([]byte, 64)
 	if _, err := src.Read(buf); err != nil {
 		t.Errorf("read after estimates failed: %v", err)
 	}
 }
 
-func TestEstimatesRejectedWhileEngineActive(t *testing.T) {
-	src := openQuick(t)
-	g := src.(*Generator)
-	eng, err := g.Engine(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
+// TestEstimatesRunOnTwin pins the estimators to a private simulated twin of
+// the device: they work on a sharded Generator and agree with the default
+// one, they equal the values the estimators gave when they drove the live
+// device, and estimating mid-stream leaves the served bytes untouched.
+func TestEstimatesRunOnTwin(t *testing.T) {
+	type estimates struct {
+		tp1, tpAll  Throughput
+		lat64, lat1 float64
+		nj          float64
 	}
-	if _, err := g.EstimateThroughput(1, 10); err == nil || !strings.Contains(err.Error(), "engine is active") {
-		t.Errorf("EstimateThroughput during engine run: err = %v, want engine-active error", err)
-	}
-	if _, err := g.EstimateLatency64(); err == nil || !strings.Contains(err.Error(), "engine is active") {
-		t.Errorf("EstimateLatency64 during engine run: err = %v, want engine-active error", err)
-	}
-	if _, err := g.EstimateEnergyPerBit(10); err == nil || !strings.Contains(err.Error(), "engine is active") {
-		t.Errorf("EstimateEnergyPerBit during engine run: err = %v, want engine-active error", err)
-	}
-	buf := make([]byte, 64)
-	if _, err := eng.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.EstimateThroughput(1, 10); err != nil {
-		t.Errorf("EstimateThroughput after engine Close failed: %v", err)
+	estimate := func(t *testing.T, g *Generator) estimates {
+		t.Helper()
+		var e estimates
+		var err error
+		if e.tp1, err = g.EstimateThroughput(1, 100); err != nil {
+			t.Fatal(err)
+		}
+		if e.tpAll, err = g.EstimateThroughput(g.Banks(), 100); err != nil {
+			t.Fatal(err)
+		}
+		if e.lat64, err = g.EstimateLatency64(); err != nil {
+			t.Fatal(err)
+		}
+		if e.lat1, err = g.EstimateLatency(1, 64); err != nil {
+			t.Fatal(err)
+		}
+		if e.nj, err = g.EstimateEnergyPerBit(200); err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
 
-	sharded := openQuick(t, WithShards(2))
-	if _, err := sharded.(*Generator).EstimateLatency64(); err == nil || !strings.Contains(err.Error(), "engine is active") {
-		t.Errorf("estimate on a sharded Source: err = %v, want engine-active error", err)
+	def := estimate(t, openQuick(t).(*Generator))
+	// The values the estimators produced on the live device of this profile,
+	// before they moved to the twin.
+	want := estimates{
+		tp1:   Throughput{Banks: 1, BitsPerIteration: 5, NSPerIteration: 134.925, ThroughputMbps: 37.05762460626274},
+		tpAll: Throughput{Banks: 4, BitsPerIteration: 18, NSPerIteration: 238.45625, ThroughputMbps: 75.48554504232956},
+		lat64: 925.625,
+		lat1:  1747.5,
+		nj:    1.4020867361111289,
+	}
+	if def != want {
+		t.Errorf("estimates = %+v, want %+v", def, want)
+	}
+	if sharded := estimate(t, openQuick(t, WithShards(2)).(*Generator)); sharded != def {
+		t.Errorf("sharded Generator estimates %+v, default %+v", sharded, def)
+	}
+
+	// Estimating mid-stream must not perturb the live device: the reads that
+	// follow match an identical Source that never estimated.
+	est, ref := openQuick(t), openQuick(t)
+	got, refBuf := make([]byte, 256), make([]byte, 256)
+	for i := 0; i < 2; i++ {
+		if _, err := est.Read(got); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Read(refBuf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, refBuf) {
+			t.Fatalf("read %d: a Source that estimated serves different bytes than one that did not", i)
+		}
+		estimate(t, est.(*Generator))
 	}
 }
 
@@ -470,32 +584,58 @@ func TestPostprocessChain(t *testing.T) {
 	}
 }
 
-// TestPostprocessedReadRawNoAlloc: once its buffers have grown, a raw-tier
-// read through a von Neumann corrector allocates nothing — the stages reuse
-// their carry and output buffers and the chain compacts its buffer in place.
+// TestPostprocessedReadRawNoAlloc: once its buffers have grown, a
+// steady-state read allocates nothing in any serving configuration — the
+// lock-free raw path, the monitored and DRBG tiers, a von Neumann chain
+// (whose stages reuse their carry and output buffers while the chain compacts
+// its buffer in place) and multi-device pools.
 func TestPostprocessedReadRawNoAlloc(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name    string
+		devices int // 0 opens a Generator, n > 0 an n-device pool
+		opts    []Option
+		raw     bool
 	}{
-		{"sequential", []Option{WithPostprocess(VonNeumann())}},
-		{"4 shards with DRBG", []Option{WithShards(4), WithDRBG(DRBGPolicy{}), WithPostprocess(VonNeumann())}},
+		{"default", 0, nil, false},
+		{"4 shards", 0, []Option{WithShards(4)}, false},
+		{"health tests", 0, []Option{WithHealthTests(HealthTestPolicy{})}, false},
+		{"DRBG Read", 0, []Option{WithDRBG(DRBGPolicy{})}, false},
+		{"DRBG ReadRaw", 0, []Option{WithDRBG(DRBGPolicy{})}, true},
+		{"von Neumann", 0, []Option{WithPostprocess(VonNeumann())}, true},
+		{"3-device pool", 3, nil, false},
+		{"pool with health tests", 3, []Option{WithHealthTests(HealthTestPolicy{})}, false},
 	} {
-		src := openQuick(t, tc.opts...)
-		buf := make([]byte, 256)
-		for i := 0; i < 4; i++ {
-			if _, err := src.ReadRaw(buf); err != nil {
-				t.Fatal(err)
+		t.Run(tc.name, func(t *testing.T) {
+			var src Source
+			if tc.devices == 0 {
+				src = openQuick(t, tc.opts...)
+			} else {
+				pool, err := OpenPool(context.Background(), poolProfiles(t, tc.devices), tc.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { pool.Close() })
+				src = pool
 			}
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := src.ReadRaw(buf); err != nil {
-				t.Fatal(err)
+			read := src.Read
+			if tc.raw {
+				read = src.ReadRaw
+			}
+			buf := make([]byte, 256)
+			for i := 0; i < 4; i++ {
+				if _, err := read(buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := read(buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state read allocates %.2f times per read, want 0", allocs)
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("%s: ReadRaw through von Neumann allocates %.2f times per read, want 0", tc.name, allocs)
-		}
 	}
 }
 
@@ -656,96 +796,28 @@ func TestNISTSmokeTest(t *testing.T) {
 	}
 }
 
-// legacyConfig mirrors the old test configuration for the deprecated shim.
-func legacyConfig() Config {
-	return Config{
-		Manufacturer:       "A",
-		Serial:             1,
-		Deterministic:      true,
-		Geometry:           quickGeometry(),
-		ProfileRowsPerBank: 48,
-		ProfileWordsPerRow: 8,
-		ProfileBanks:       2,
-		Samples:            300,
-		Tolerance:          0.4,
-		MaxBiasDelta:       0.02,
-		ScreenIterations:   30,
+// TestCharacterizeRejectsBadConfig: an unknown manufacturer, an activation
+// latency above the default tRCD and an invalid word width all fail
+// characterization instead of producing a profile.
+func TestCharacterizeRejectsBadConfig(t *testing.T) {
+	ctx := context.Background()
+	base := []Option{
+		WithSerial(1),
+		WithDeterministic(true),
+		WithProfilingRegion(48, 8, 2),
+		WithSamples(300),
+		WithTolerance(0.4),
+		WithScreenIterations(30),
 	}
-}
-
-func TestLegacyNewShim(t *testing.T) {
-	g, err := New(legacyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if len(g.Cells()) == 0 || len(g.Selections()) == 0 || g.Banks() == 0 {
-		t.Fatal("legacy New returned an empty generator")
-	}
-	if g.Profile() == nil || g.Profile().Validate() != nil {
-		t.Error("legacy New did not produce a valid profile")
-	}
-	buf := make([]byte, 256)
-	if _, err := g.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	checkBias(t, buf)
-
-	// Stats must account generation time only, not the characterization
-	// cycles New spent on the same controller: with those included the
-	// apparent rate would be orders of magnitude below a real harvest rate.
-	if st := g.Stats(); st.AggregateThroughputMbps < 1 {
-		t.Errorf("legacy generator throughput = %v Mb/s; characterization cycles leaked into Stats", st.AggregateThroughputMbps)
-	}
-
-	eng, err := g.Engine(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if eng.Shards() == 0 {
-		t.Fatal("legacy engine has no shards")
-	}
-	if _, err := eng.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.BitsDelivered != int64(len(buf)*8) || len(st.Shards) != eng.Shards() {
-		t.Errorf("legacy engine stats = %+v", st)
-	}
-}
-
-func TestNewRejectsBadConfig(t *testing.T) {
-	cfg := legacyConfig()
-	cfg.Manufacturer = "Z"
-	if _, err := New(cfg); err == nil {
-		t.Error("unknown manufacturer accepted")
-	}
-	cfg = legacyConfig()
-	cfg.ReducedTRCDNS = 50
-	if _, err := New(cfg); err == nil {
-		t.Error("tRCD above default accepted")
-	}
-	cfg = legacyConfig()
-	cfg.Geometry.WordBits = 100
-	if _, err := New(cfg); err == nil {
-		t.Error("invalid geometry accepted")
-	}
-}
-
-func TestLegacyConfigSentinels(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Manufacturer != "A" || c.ReducedTRCDNS != 10.0 || c.Samples != 600 {
-		t.Errorf("defaults = %+v", c)
-	}
-	p := Config{PaperIdentification: true}.withDefaults()
-	if p.Samples != 1000 || p.Tolerance != 0.10 {
-		t.Errorf("paper identification defaults = %+v", p)
-	}
-	// The documented legacy flaw the options API fixes: an explicit zero is
-	// indistinguishable from unset and silently becomes the default.
-	z := Config{MaxBiasDelta: 0}.withDefaults()
-	if z.MaxBiasDelta != 0.02 {
-		t.Errorf("legacy explicit zero bias bound = %v, want the documented sentinel default 0.02", z.MaxBiasDelta)
+	badGeom := quickGeometry()
+	badGeom.WordBits = 100
+	for name, opts := range map[string][]Option{
+		"unknown manufacturer": {WithManufacturer("Z"), WithGeometry(quickGeometry())},
+		"tRCD above default":   {WithManufacturer("A"), WithGeometry(quickGeometry()), WithTRCD(50)},
+		"invalid geometry":     {WithManufacturer("A"), WithGeometry(badGeom)},
+	} {
+		if _, err := Characterize(ctx, append(append([]Option{}, base...), opts...)...); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

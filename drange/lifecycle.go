@@ -298,7 +298,7 @@ func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) 
 		return fmt.Errorf("pool closed during readmission")
 	}
 	m.profile = prof
-	m.src, m.eng = eng, eng
+	m.eng = eng
 	m.cur, m.curBits = 0, 0
 	m.win.Store(0)
 	m.biasDelta = 0

@@ -2,12 +2,12 @@ package drange
 
 import "fmt"
 
-// Option configures Characterize and Open. Unlike the deprecated Config
-// struct, options distinguish "unset" from "explicitly zero": a parameter is
-// defaulted only when its option is never applied, so explicit zeros (for
-// example a zero bias bound via WithMaxBiasDelta(0)) are honoured, and
-// explicit values that are invalid (WithTRCD(0), WithTolerance(0)) fail
-// loudly instead of being silently replaced.
+// Option configures Characterize and Open. Options distinguish "unset" from
+// "explicitly zero": a parameter is defaulted only when its option is never
+// applied, so explicit zeros (for example a zero bias bound via
+// WithMaxBiasDelta(0)) are honoured, and explicit values that are invalid
+// (WithTRCD(0), WithTolerance(0)) fail loudly instead of being silently
+// replaced.
 type Option func(*options)
 
 // options records which knobs were explicitly set. Pointer fields are nil
@@ -137,13 +137,24 @@ func WithPaperIdentification() Option {
 }
 
 // WithShards selects how many parallel harvesting shards the opened Source
-// uses. 0 (the default) opens a sequential single-controller sampler; n > 0
-// starts the concurrent sharded engine with n per-shard channel controllers
-// (clamped to the number of selected banks). The returned Source behaves
-// identically either way — sharding only changes throughput and thread
+// uses: n per-shard channel controllers, clamped to the number of selected
+// banks. 0, the default, opens one shard. The returned Source behaves
+// identically for every n — sharding only changes throughput and thread
 // scheduling.
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = &n }
+}
+
+// shardCount resolves WithShards to the number of shards to start: the
+// requested count, or 1 when it is unset or 0.
+func (o *options) shardCount() (int, error) {
+	if o.shards == nil || *o.shards == 0 {
+		return 1, nil
+	}
+	if *o.shards < 0 {
+		return 0, fmt.Errorf("drange: negative shard count %d", *o.shards)
+	}
+	return *o.shards, nil
 }
 
 // WithPostprocess appends the Section 2.2 post-processing chain to the

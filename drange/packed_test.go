@@ -25,8 +25,9 @@ func packBitstream(t *testing.T, bits []byte) []byte {
 
 // TestReadMatchesReadBits pins the packed serving path against the
 // bit-per-byte contract: over identical deterministic sources, Read's bytes
-// must equal ReadBits' bits packed MSB-first — for the sequential sampler,
-// the sharded engine, a monitored source and a post-processed source.
+// must equal ReadBits' bits packed MSB-first — for the default 1-shard
+// source (the "sequential" case), a 2-shard source, a monitored source and a
+// post-processed source.
 func TestReadMatchesReadBits(t *testing.T) {
 	cases := []struct {
 		name string

@@ -113,14 +113,9 @@ func OpenPool(ctx context.Context, profiles []*Profile, opts ...Option) (*Pool, 
 	if err != nil {
 		return nil, err
 	}
-	shardsPerDevice := 1
-	if o.shards != nil {
-		if *o.shards < 0 {
-			return nil, fmt.Errorf("drange: negative shard count %d", *o.shards)
-		}
-		if *o.shards > 0 {
-			shardsPerDevice = *o.shards
-		}
+	shardsPerDevice, err := o.shardCount()
+	if err != nil {
+		return nil, err
 	}
 	policy := HealthPolicy{}
 	if o.health != nil {
@@ -132,9 +127,6 @@ func OpenPool(ctx context.Context, profiles []*Profile, opts ...Option) (*Pool, 
 	p := &Pool{}
 	p.policy = policy
 	p.cancel = cancel
-	// Pool members are always engine-backed, so the core's lock-free fast
-	// path is available.
-	p.concurrent = true
 	if o.healthTests != nil && !o.healthTests.Disabled {
 		p.testsEnabled = true
 		p.testsPolicy = o.healthTests.withDefaults(true)
@@ -221,7 +213,7 @@ func OpenPool(ctx context.Context, profiles []*Profile, opts ...Option) (*Pool, 
 		if err != nil {
 			return fail(fmt.Errorf("drange: pool device %d: %w", i, err))
 		}
-		m.src, m.eng = eng, eng
+		m.eng = eng
 		m.fastEng.Store(eng)
 		if p.testsEnabled {
 			mon, err := health.New(p.testsPolicy.config())

@@ -28,9 +28,11 @@ import (
 // Recording captures the device command stream, so a replayed run must issue
 // the same operations in the same order: open the same profile the same way
 // and read the same amounts. Concurrent shards interleave their commands
-// nondeterministically, so record sequential (WithShards(0)) sources when
-// byte-identical replay is the goal; a divergent replay fails loudly instead
-// of returning wrong bits.
+// nondeterministically, so record 1-shard sources (the default) when
+// byte-identical replay is the goal. The engine harvests ahead of the reader,
+// so a log holds somewhat more operations than the bytes read needed, and its
+// length varies from run to run; a replay that reads past the log, or
+// diverges from it, fails loudly instead of returning wrong bits.
 func openReplayBackend(p BackendParams) (Device, error) {
 	mode := p.option("mode", "")
 	path := p.option("path", "")

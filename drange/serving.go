@@ -59,20 +59,9 @@ func (s memberState) String() string {
 	}
 }
 
-// sampler is the harvesting source behind one serving member: the concurrent
-// sharded engine, or — for a sequential single-device Source — the
-// single-controller TRNG (which is not safe for concurrent use, so a
-// sequential core never takes the lock-free fast path).
-type sampler interface {
-	// ReadBits returns n harvested bits, one bit per byte.
-	ReadBits(n int) ([]byte, error)
-	// ReadPacked fills p with packed harvested bytes.
-	ReadPacked(p []byte) error
-}
-
 // servingMember is one device of a serving core: its profile, backend device,
-// harvesting sampler, health accounting, and the partially consumed packed
-// 64-bit word between sampler and scheduler. A Generator has exactly one
+// harvesting engine, health accounting, and the partially consumed packed
+// 64-bit word between engine and scheduler. A Generator has exactly one
 // member with idx -1 (the Device value HealthError reports for single-device
 // Sources); pool members are numbered from 0.
 type servingMember struct {
@@ -80,10 +69,6 @@ type servingMember struct {
 	profile *Profile
 	backend string
 	pub     Device
-	// src is the serving sampler; eng is the same object when the member is
-	// engine-backed (every pool member; a sharded Generator) and nil for the
-	// sequential single-controller sampler.
-	src     sampler
 	eng     *core.Engine
 	ownsDev bool
 
@@ -102,13 +87,11 @@ type servingMember struct {
 	state  atomic.Int32 // drange:atomic
 	reason string       // drange:guardedby mu
 
-	// fastEng publishes the engine behind src to the lock-free fast path.
-	// A reader that observed state == serving loads the engine through this
-	// pointer, so a hot profile swap on readmission can replace src/eng
-	// under mu without racing unlocked readers: the swap stores the fresh
-	// engine here before the serving state is published. nil while the
-	// member is out of serving, and for a sequential (TRNG-backed) member,
-	// which never takes the fast path.
+	// fastEng publishes eng to the lock-free fast path. A reader that
+	// observed state == serving loads the engine through this pointer, so a
+	// hot profile swap on readmission can replace eng under mu without racing
+	// unlocked readers: the swap stores the fresh engine here before the
+	// serving state is published. nil while the member is out of serving.
 	fastEng atomic.Pointer[core.Engine] // drange:atomic
 
 	// Lifecycle accounting (guarded by mu): readmissions counts
@@ -123,7 +106,7 @@ type servingMember struct {
 	lastRecharMS        float64 // drange:guardedby mu
 	recharAttempts      int     // drange:guardedby mu
 
-	// fetched counts bits pulled from this member's sampler — the load
+	// fetched counts bits pulled from this member's engine — the load
 	// metric of the least-loaded scheduler. Batches discarded under
 	// HealthActionBlock count too, so a tripping member cannot pin the
 	// scheduler while healthy members idle. delivered counts bits that
@@ -167,17 +150,11 @@ type servingMember struct {
 	// cannot leave member deliveries exceeding what callers received.
 	pendingDRBG int64 // drange:guardedby mu
 
-	// cur holds up to 64 bits fetched from the sampler but not yet handed
+	// cur holds up to 64 bits fetched from the engine but not yet handed
 	// out, packed with the next undelivered bit at the most significant
 	// position (locked path only).
 	cur     uint64 // drange:guardedby mu
 	curBits int    // drange:guardedby mu
-
-	// fetchBuf is the per-fetch ReadPacked scratch. A stack array would
-	// escape through the sampler interface call and cost one allocation per
-	// fetched word; member-level scratch keeps the locked path
-	// allocation-free.
-	fetchBuf [8]byte // drange:guardedby mu
 }
 
 // lifecycle returns the member's current lifecycle state.
@@ -212,8 +189,8 @@ func (m *servingMember) takeLocked(k int) uint64 {
 type servingCore struct {
 	mu sync.Mutex
 	// single marks a Generator core (one member, idx -1): closed-source
-	// errors say "source", sampler errors propagate bare instead of wrapped
-	// per device, and Close reports sampler/device release errors.
+	// errors say "source", engine errors propagate bare instead of wrapped
+	// per device, and Close reports engine/device release errors.
 	single  bool
 	members []*servingMember
 	// policy is the pool device-health policy (bias/temperature windows); a
@@ -227,17 +204,10 @@ type servingCore struct {
 	// cancel stops the member engines of a pool (nil for a Generator, whose
 	// engine is stopped directly by Close).
 	cancel context.CancelFunc
-	// concurrent gates the lock-free fast path: every member must be
-	// engine-backed (the sequential TRNG sampler is single-threaded).
-	concurrent bool
-	// closeHook, when set, runs under mu at the start of Close — the
-	// Generator uses it to stop an engine attached through the deprecated
-	// Engine shim before the member sampler closes.
-	closeHook func()
 
 	// remainder reports whether any member holds sub-word buffered bits
 	// from a bit-granular read; while set, Read takes the locked path so
-	// those bits are served in order before fresh sampler words (mixing
+	// those bits are served in order before fresh engine words (mixing
 	// ReadBits and Read must drain one well-defined stream).
 	remainder atomic.Bool // drange:atomic
 
@@ -339,7 +309,7 @@ func (c *servingCore) evictLocked(m *servingMember, reason string) {
 // WithRecharacterization is attached and attempts remain, terminally evicted
 // otherwise. The last healthy member is never retired — the reason is
 // recorded for Stats but reads continue (degraded output beats no output).
-// Hard sampler failures do not come through here: a member whose engine died
+// Hard engine failures do not come through here: a member whose engine died
 // is evicted directly, since its device cannot be assumed profileable.
 // Callers hold mu.
 func (c *servingCore) retireLocked(m *servingMember, reason string) {
@@ -443,10 +413,10 @@ func (c *servingCore) blockedOutLocked(m *servingMember) bool {
 }
 
 // nextMemberWithBitsLocked returns the least-loaded healthy member with
-// buffered bits, fetching one packed 64-bit word from its sampler when its
+// buffered bits, fetching one packed 64-bit word from its engine when its
 // buffer is empty — the per-fetch granularity that keeps member interleaving
 // fine-grained for the bias monitor while amortising the engine's consumer
-// lock. A member whose sampler fails is evicted and scheduling re-picks; the
+// lock. A member whose engine fails is evicted and scheduling re-picks; the
 // call only fails once no healthy member remains (or a health-test policy
 // says so). Callers hold mu.
 func (c *servingCore) nextMemberWithBitsLocked() (*servingMember, error) {
@@ -465,9 +435,9 @@ func (c *servingCore) nextMemberWithBitsLocked() (*servingMember, error) {
 		if m.curBits > 0 {
 			return m, nil
 		}
-		buf := m.fetchBuf[:]
-		if err := m.src.ReadPacked(buf); err != nil {
-			// Sampler failure (device error, cancelled context, closed
+		var buf [8]byte
+		if err := m.eng.ReadPacked(buf[:]); err != nil {
+			// Engine failure (device error, cancelled context, closed
 			// engine): evict and reschedule. The eviction keeps the last
 			// member, so a pool whose every engine is dead surfaces the
 			// error; a single-member core propagates it bare.
@@ -644,7 +614,7 @@ func (c *servingCore) runStartupTests() error {
 	var firstErr error
 	failed := 0
 	for _, m := range c.members {
-		sample, err := m.src.ReadBits(c.testsPolicy.StartupBits)
+		sample, err := m.eng.ReadBits(c.testsPolicy.StartupBits)
 		if err != nil {
 			if c.single {
 				return err
@@ -681,7 +651,7 @@ func (c *servingCore) runStartupTests() error {
 }
 
 // instantiateDRBGs seeds one DRBG per healthy member from the member's own
-// sampler through the member's own monitor. First reseed points are staggered
+// engine through the member's own monitor. First reseed points are staggered
 // across [interval, 2·interval): member k of n gets interval + k·⌈interval/n⌉
 // extra first-seed budget, so the members never fall due in the same read and
 // the staged reseeds of drbgReadLocked can always run on a member that is not
@@ -727,16 +697,16 @@ func (c *servingCore) instantiateDRBGs() error {
 	return nil
 }
 
-// harvestSeedLocked fills seed with packed bytes from m's sampler, streaming
+// harvestSeedLocked fills seed with packed bytes from m's engine, streaming
 // them through m's monitor with the same trip policies, load accounting and
 // bias-window bookkeeping as nextMemberWithBitsLocked. It returns
-// errDRBGMemberEvicted when the harvest cost m its pool membership (sampler
+// errDRBGMemberEvicted when the harvest cost m its pool membership (engine
 // failure or evict policy), so callers re-pick instead of failing the read.
 // Callers hold mu.
 func (c *servingCore) harvestSeedLocked(m *servingMember, seed []byte) error {
 	blocked := 0
 	for {
-		if err := m.src.ReadPacked(seed); err != nil {
+		if err := m.eng.ReadPacked(seed); err != nil {
 			if c.single {
 				return err
 			}
@@ -962,7 +932,7 @@ func (c *servingCore) drbgServeMemberLocked() (*servingMember, error) {
 }
 
 // reseedMemberLocked harvests a fresh health-screened seed from m's own
-// sampler and folds it into m's DRBG, debiting the credit ledger. Callers
+// engine and folds it into m's DRBG, debiting the credit ledger. Callers
 // hold mu.
 //
 //drange:noalloc
@@ -976,7 +946,7 @@ func (c *servingCore) reseedMemberLocked(m *servingMember) error {
 // stageDRBGReseedLocked opportunistically reseeds at most one due member
 // other than the one that just served, spreading seed harvests across reads
 // so members are reseeded while idle rather than when picked. Best-effort: a
-// failure neither fails the read nor loses the member — a sampler failure or
+// failure neither fails the read nor loses the member — an engine failure or
 // evict-policy trip is already recorded by harvestSeedLocked, and any other
 // error surfaces when the member is next picked to serve. Callers hold mu.
 func (c *servingCore) stageDRBGReseedLocked(served *servingMember) {
@@ -1006,10 +976,10 @@ func (c *servingCore) stageDRBGReseedLocked(served *servingMember) {
 // only the WithDRBG expansion is bypassed. Without WithDRBG, Read is this
 // same path.
 //
-// This is the packed fast path: the samplers hand the core packed 64-bit
+// This is the packed fast path: the engines hand the core packed 64-bit
 // words that land in the caller's buffer without any bit-per-byte expansion.
-// With engine-backed members, no post-processing chain and no online health
-// tests attached, ReadRaw additionally runs lock-free — concurrent readers
+// With no post-processing chain and no online health tests attached, ReadRaw
+// additionally runs lock-free — concurrent readers
 // schedule themselves onto the least-loaded members through atomic load
 // counters and only touch the core mutex at bias-window boundaries and
 // evictions, so throughput scales with readers instead of serializing behind
@@ -1023,9 +993,8 @@ func (c *servingCore) ReadRaw(p []byte) (int, error) {
 		return 0, nil
 	}
 	// Buffered sub-word bits from an earlier ReadBits must be served first
-	// and in order, so they force the locked path for this read; a
-	// sequential (TRNG-backed) core always takes it.
-	if c.concurrent && c.post == nil && !c.testsEnabled && !c.remainder.Load() {
+	// and in order, so they force the locked path for this read.
+	if c.post == nil && !c.testsEnabled && !c.remainder.Load() {
 		n, err := c.readFast(p)
 		if err == nil {
 			c.tierRawReads.Add(1)
@@ -1172,18 +1141,13 @@ func (c *servingCore) Uint64() (uint64, error) {
 }
 
 // Close releases the core: it stops every member engine and releases every
-// device (after running the facade's closeHook, e.g. to stop a deprecated
-// Engine shim). It is idempotent. A single-device core reports release
-// errors; a pool — whose members may already be part-closed by evictions —
+// device. It is idempotent. A single-device core reports release errors; a pool — whose members may already be part-closed by evictions —
 // returns nil, as it always has.
 func (c *servingCore) Close() error {
 	c.mu.Lock()
 	if c.closed.Swap(true) {
 		c.mu.Unlock()
 		return nil
-	}
-	if c.closeHook != nil {
-		c.closeHook()
 	}
 	if c.cancel != nil {
 		c.cancel()

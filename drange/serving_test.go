@@ -134,9 +134,9 @@ func TestTierCountersAdvanceOnlyOnSuccess(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := g.Stats()
-		// Kill the sampler out from under the facade: a read deep enough to
+		// Kill the engine out from under the facade: a read deep enough to
 		// drain the shard rings' leftover words fails.
-		g.eng.Close()
+		g.members[0].eng.Close()
 		if _, err := g.ReadRaw(make([]byte, 1<<20)); err == nil {
 			t.Fatal("ReadRaw on a closed engine unexpectedly succeeded")
 		}
@@ -164,7 +164,7 @@ func TestTierCountersAdvanceOnlyOnSuccess(t *testing.T) {
 			// visible in the raw tier.
 			t.Errorf("TierRaw = %+v, want {Reads:2 Bytes:34}", before.TierRaw)
 		}
-		g.eng.Close()
+		g.members[0].eng.Close()
 		if _, err := g.ReadRaw(make([]byte, 1<<20)); err == nil {
 			t.Fatal("ReadRaw on a closed engine unexpectedly succeeded")
 		}
@@ -208,7 +208,7 @@ func TestPoolDRBGPartialFailureConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	poolDeliveryConservation(t, p, "after clean read")
-	// Kill the member's sampler: the 2nd chunk below falls due for a reseed,
+	// Kill the member's engine: the 2nd chunk below falls due for a reseed,
 	// whose seed harvest fails. A closed engine still serves the words its
 	// shard rings had buffered, so drain them directly — below the pool's
 	// accounting — until the engine errors.

@@ -15,15 +15,14 @@ import (
 	"repro/internal/postproc"
 )
 
-// Source is a running D-RaNGe random number source. Open returns a Source
-// whether the underlying sampler is the sequential single-controller core or
-// the concurrent sharded engine — WithShards is the only difference callers
-// see. Every Source is safe for concurrent use; Read never returns a short
-// read except on error, and Close releases the sampling resources (stopping
-// harvest goroutines when sharded).
+// Source is a running D-RaNGe random number source over the sharded
+// harvesting engine; WithShards sets the shard count and is the only
+// difference callers see. Every Source is safe for concurrent use; Read never
+// returns a short read except on error, and Close releases the sampling
+// resources (stopping the harvest goroutines).
 //
 // Read is the fast representation: it fills the caller's buffer directly
-// from the sampler's packed 64-bit words (zero steady-state allocations
+// from the engine's packed 64-bit words (zero steady-state allocations
 // without a monitor or post-processing chain). ReadBits serves the same
 // stream bit-granularly — one value-0/1 byte per bit — as an unpacking
 // adapter; mixing the two drains a single well-defined bit sequence, no bit

@@ -184,8 +184,7 @@ type Density struct {
 }
 
 // ShardStats is the throughput/latency accounting of one harvesting shard,
-// measured in simulated DRAM time. A sequential Source reports itself as a
-// single shard.
+// measured in simulated DRAM time.
 type ShardStats struct {
 	Shard int `json:"shard"`
 	// Banks is the number of banks the shard samples.
@@ -354,11 +353,6 @@ type PoolDeviceStats struct {
 	// (nil unless WithDRBG is attached to the pool).
 	DRBG *DRBGStats `json:"drbg,omitempty"`
 }
-
-// EngineStats is the former name of Stats.
-//
-// Deprecated: use Stats.
-type EngineStats = Stats
 
 func statsFromEngine(st core.EngineStats) Stats {
 	out := Stats{

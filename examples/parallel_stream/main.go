@@ -2,8 +2,8 @@
 // Opening a profile with WithShards(4) partitions the bank selections across
 // four simulated channel controllers, each harvesting on its own goroutine
 // into a bounded packed-bit ring — the paper's bank/channel parallelism as a
-// thread-safe io.Reader behind the same Source interface as the sequential
-// sampler. Concurrent consumers read from the same Source, and the per-shard
+// thread-safe io.Reader behind the same Source interface as the default
+// 1-shard Source. Concurrent consumers read from the same Source, and the per-shard
 // accounting shows the measured multi-bank scaling.
 package main
 

@@ -1,7 +1,7 @@
 // Package analysis is a self-contained, stdlib-only re-implementation of the
 // subset of golang.org/x/tools/go/analysis that drange-vet needs: an Analyzer
 // runs over one type-checked package at a time and reports position-anchored
-// Diagnostics, optionally carrying SuggestedFixes.
+// Diagnostics.
 //
 // The repo deliberately has no third-party dependencies, so the framework,
 // the package loader (load.go) and the analysistest harness are built on
@@ -98,25 +98,10 @@ type Pass struct {
 
 // A Diagnostic is a finding anchored to a source position.
 type Diagnostic struct {
-	Pos            token.Pos
-	End            token.Pos
-	Analyzer       string
-	Message        string
-	SuggestedFixes []SuggestedFix
-}
-
-// A SuggestedFix is a named, mechanically applicable set of edits.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// A TextEdit replaces the source in [Pos, End) with NewText. Pos == End is a
-// pure insertion.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
+	Pos      token.Pos
+	End      token.Pos
+	Analyzer string
+	Message  string
 }
 
 // Report records a diagnostic.

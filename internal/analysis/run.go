@@ -11,54 +11,10 @@ type Finding struct {
 	Position token.Position
 	Analyzer string
 	Message  string
-	Diag     Diagnostic
-	// Fixes are the diagnostic's suggested fixes resolved to file/offset
-	// edits, ready for drange-vet's -fix flag to apply.
-	Fixes []ResolvedFix
-}
-
-// A ResolvedFix is a SuggestedFix with its edits resolved against the file
-// set that produced the diagnostic, so it survives past the loader.
-type ResolvedFix struct {
-	Message string
-	Edits   []ResolvedEdit
-}
-
-// A ResolvedEdit replaces bytes [Start, End) of Filename with NewText.
-type ResolvedEdit struct {
-	Filename   string
-	Start, End int
-	NewText    []byte
 }
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Position, f.Analyzer, f.Message)
-}
-
-func resolveFixes(fset *token.FileSet, d Diagnostic) []ResolvedFix {
-	var out []ResolvedFix
-	for _, fix := range d.SuggestedFixes {
-		rf := ResolvedFix{Message: fix.Message}
-		ok := true
-		for _, e := range fix.TextEdits {
-			start := fset.Position(e.Pos)
-			end := fset.Position(e.End)
-			if !start.IsValid() || !end.IsValid() || start.Filename != end.Filename {
-				ok = false
-				break
-			}
-			rf.Edits = append(rf.Edits, ResolvedEdit{
-				Filename: start.Filename,
-				Start:    start.Offset,
-				End:      end.Offset,
-				NewText:  e.NewText,
-			})
-		}
-		if ok && len(rf.Edits) > 0 {
-			out = append(out, rf)
-		}
-	}
-	return out
 }
 
 // RunPackage applies the analyzers to one loaded package and returns the
@@ -103,8 +59,6 @@ func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts FactBase, factsO
 				Position: pkg.Fset.Position(d.Pos),
 				Analyzer: a.Name,
 				Message:  d.Message,
-				Diag:     d,
-				Fixes:    resolveFixes(pkg.Fset, d),
 			})
 		}
 	}

@@ -42,7 +42,6 @@ package seedtaint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -157,8 +156,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	deprecated := deprecatedReceivers(pass)
-
 	cfg := &analysis.TaintConfig{
 		Effect: func(fn *types.Func) (analysis.CallEffect, bool) {
 			name := fn.Name()
@@ -206,9 +203,7 @@ func run(pass *analysis.Pass) error {
 				return ""
 			}
 			recv := recvTypeName(fn)
-			if recv == "" || deprecated[recv] {
-				// The legacy Engine facade predates the two-tier design and
-				// is marked Deprecated; its replacement is checked instead.
+			if recv == "" {
 				return ""
 			}
 			return recv + "." + fn.Name()
@@ -239,30 +234,4 @@ func run(pass *analysis.Pass) error {
 		pass.ExportFacts(payload)
 	}
 	return nil
-}
-
-// deprecatedReceivers returns the names of types declared in this package
-// whose doc comment carries a "Deprecated:" marker.
-func deprecatedReceivers(pass *analysis.Pass) map[string]bool {
-	out := map[string]bool{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				for _, cg := range []*ast.CommentGroup{ts.Doc, gd.Doc} {
-					if cg != nil && strings.Contains(cg.Text(), "Deprecated:") {
-						out[ts.Name.Name] = true
-					}
-				}
-			}
-		}
-	}
-	return out
 }

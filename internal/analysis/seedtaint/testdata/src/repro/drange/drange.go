@@ -110,20 +110,6 @@ func (b *BadWaiver) Uint64() (uint64, error) { // want "requires a reason" "may 
 	return words[0], nil
 }
 
-// Old is the deprecated legacy facade: its exit sinks are not checked.
-//
-// Deprecated: use Leaky's replacement.
-type Old struct {
-	dev *device.Device
-}
-
-func (o *Old) Read(p []byte) (int, error) {
-	if err := sampler.Harvest(o.dev, p); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
 // SeedDRBG feeds a raw harvest straight into a DRBG instantiation.
 func SeedDRBG(d *device.Device) (*drbg.DRBG, error) {
 	buf := make([]byte, 48)

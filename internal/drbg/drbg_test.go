@@ -181,8 +181,8 @@ func TestChaChaOutputsNeverRepeat(t *testing.T) {
 	}
 }
 
-// TestChaChaGenerateNoAlloc enforces the BENCH_pr7 claim at the unit level:
-// the fast-tier Generate allocates nothing once instantiated.
+// TestChaChaGenerateNoAlloc: the fast-tier Generate allocates nothing once
+// instantiated.
 func TestChaChaGenerateNoAlloc(t *testing.T) {
 	d, err := NewChaCha(make([]byte, chachaSeedLen), nil, Options{})
 	if err != nil {
