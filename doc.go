@@ -61,12 +61,16 @@
 //
 // # Serving core
 //
-// Both Source facades sit on one serving core: a Generator is served as a
-// one-member pool. One scheduler, one lock-free fast path, one locked path,
-// one DRBG tier and one tier-accounting site implement Read, ReadBits,
-// ReadRaw and Uint64 for Generator and Pool alike, so the two facades cannot
-// drift apart — a single-member pool and a Generator over the same profile
-// produce byte-for-byte identical streams under deterministic noise
+// Both Source facades sit on one serving core: a Generator is a one-member
+// pool. One constructor builds the members of both (Open is OpenPool over
+// one profile, after rejecting the pool-only options), and one scheduler,
+// one lock-free fast path, one locked path, one DRBG tier, one
+// tier-accounting site and one Stats snapshot implement Read, ReadBits,
+// ReadRaw, Uint64 and Stats for Generator and Pool alike; a Generator only
+// drops the per-device breakdown from Stats. The two facades therefore
+// cannot drift apart — a single-member pool and a Generator over the same
+// profile produce byte-for-byte identical streams and the same Stats
+// (harvest-ahead counters aside) under deterministic noise
 // (regression-tested). The shared accounting is success-only: a read that
 // fails with (0, err) never advances the tier counters or delivered totals,
 // and a multi-chunk DRBG read commits its per-member deliveries only when

@@ -485,3 +485,56 @@ func TestFaultyScenarioMatrix(t *testing.T) {
 		}
 	})
 }
+
+// TestFailedOpenReleasesOwnedDevices: a failed construction releases every
+// device it opened and never a WithDevice device. A replay recorder holds its
+// log path until closed, so whether the path can be recorded again tells
+// whether its device was released.
+func TestFailedOpenReleasesOwnedDevices(t *testing.T) {
+	ctx := context.Background()
+	p := quickProfile(t)
+	record := map[string]string{"mode": "record", "path": filepath.Join(t.TempDir(), "ops.jsonl")}
+	params := BackendParams{
+		Manufacturer: p.Manufacturer, Serial: p.Serial, Deterministic: true, Geometry: p.Geometry,
+		Options: record,
+	}
+	pathFree := func() bool {
+		dev, err := OpenBackend("replay", params)
+		if err != nil {
+			return false
+		}
+		closeDevice(dev)
+		return true
+	}
+
+	// Member 1 cannot record to the path member 0 holds.
+	if _, err := OpenPool(ctx, []*Profile{p, p}, WithBackend("replay", record)); err == nil || !strings.Contains(err.Error(), "already being recorded") {
+		t.Fatalf("pool of two recorders on one path: err = %v, want already-recording failure", err)
+	}
+	if !pathFree() {
+		t.Error("failed OpenPool did not release member 0's device")
+	}
+
+	// An invalid symbol width fails the monitor build, after the engine
+	// started.
+	badTests := WithHealthTests(HealthTestPolicy{SymbolBits: 99})
+	rec, err := OpenBackend("replay", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(ctx, p, WithDevice(rec), badTests); err == nil {
+		t.Fatal("Open with a 99-bit health-test symbol succeeded")
+	}
+	if pathFree() {
+		t.Error("failed Open released the caller's WithDevice device")
+	}
+	if err := closeDevice(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(ctx, p, WithBackend("replay", record), badTests); err == nil {
+		t.Fatal("Open with a 99-bit health-test symbol succeeded")
+	}
+	if !pathFree() {
+		t.Error("failed Open did not release the device it opened")
+	}
+}

@@ -116,7 +116,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dram"
-	"repro/internal/health"
 	"repro/internal/memctrl"
 	"repro/internal/nist"
 	"repro/internal/power"
@@ -307,146 +306,19 @@ func Characterize(ctx context.Context, opts ...Option) (*Profile, error) {
 // *Generator, which additionally exposes the profile and the paper's
 // throughput/latency/energy estimators.
 //
-//drange:holds mu construction: the Generator is not published until Open returns
+// Open is OpenPool over the one profile: it rejects the pool-only options,
+// disables the pool device-health windows (HealthPolicy) and builds its one
+// member with the constructor OpenPool uses.
 func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if profile == nil {
-		return nil, fmt.Errorf("drange: nil profile")
-	}
-	if err := profile.Validate(); err != nil {
-		return nil, err
-	}
 	o := buildOptions(opts)
-	if err := o.rejectCharacterizationOnly(); err != nil {
-		return nil, err
-	}
 	if err := o.rejectPoolOnly("Open"); err != nil {
 		return nil, err
 	}
-	// Resolve the DRBG tier first: it implies the health tests, so the
-	// monitor construction below must already see the implied policy.
-	drbgPolicy, drbgOn, err := o.resolveDRBG()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := o.shardCount()
-	if err != nil {
-		return nil, err
-	}
-	if o.manufacturer != nil && *o.manufacturer != profile.Manufacturer {
-		return nil, fmt.Errorf("drange: device mismatch: profile was characterized on manufacturer %q, not %q", profile.Manufacturer, *o.manufacturer)
-	}
-	if o.serial != nil && *o.serial != profile.Serial {
-		return nil, fmt.Errorf("drange: device mismatch: profile was characterized on serial %d, not %d", profile.Serial, *o.serial)
-	}
-	if o.geometry != nil && *o.geometry != profile.Geometry {
-		return nil, fmt.Errorf("drange: device mismatch: profile geometry %+v differs from requested %+v", profile.Geometry, *o.geometry)
-	}
-
-	deterministic := profile.Characterization.Deterministic
-	if o.deterministic != nil {
-		deterministic = *o.deterministic
-	}
-	trcd := profile.Characterization.TRCDNS
-	if o.trcdNS != nil {
-		trcd = *o.trcdNS
-	}
-	pat, err := parsePattern(profile.Characterization.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	sels, err := coreSelections(profile.EffectiveCells(), profile.EffectiveSelections())
-	if err != nil {
-		return nil, err
-	}
-	dev, pub, backend, err := o.resolveDevice(profile.Manufacturer, profile.Serial, deterministic, profile.Geometry)
-	if err != nil {
-		return nil, err
-	}
-	ownsDev := o.device == nil
-	fail := func(err error) (Source, error) {
-		if ownsDev {
-			closeDevice(pub)
-		}
-		return nil, err
-	}
-	// Backends construct to the profile's identity, but a WithDevice device
-	// is whatever the caller handed us: verify it before sampling — RNG-cell
-	// locations are per-device process variation, and reading another
-	// device's cells would not be random.
-	if s := pub.Serial(); s != profile.Serial {
-		return fail(fmt.Errorf("drange: device mismatch: profile was characterized on serial %d, but the device reports %d", profile.Serial, s))
-	}
-	if dg := pub.Geometry(); dg != profile.Geometry {
-		return fail(fmt.Errorf("drange: device mismatch: profile geometry %+v differs from the device's %+v", profile.Geometry, dg))
-	}
-
-	g := &Generator{profile: profile, trcdNS: trcd, sels: sels}
-	// The generator serves as a 1-member pool on the shared serving core:
-	// idx -1 is the Device value its HealthErrors report, and the pool
-	// device-health policy (bias/temperature windows) stays disabled — it is
-	// an OpenPool feature.
-	m := &servingMember{
-		idx:     -1,
-		profile: profile,
-		backend: backend,
-		pub:     pub,
-		dev:     dev,
-		shards:  shards,
-		trcdNS:  trcd,
-		ownsDev: ownsDev,
-	}
+	g := &Generator{}
 	g.single = true
-	g.members = []*servingMember{m}
 	g.policy = HealthPolicy{Disabled: true}
-	if len(o.post) > 0 {
-		chain, err := newPostChain(o.post)
-		if err != nil {
-			return fail(err)
-		}
-		g.post = chain
-	}
-	eng, err := core.NewEngine(ctx, dev, sels, core.EngineConfig{
-		Shards: shards,
-		TRNG:   core.TRNGConfig{TRCDNS: trcd, Pattern: pat},
-	})
-	if err != nil {
-		return fail(fmt.Errorf("drange: %w", err))
-	}
-	m.eng = eng
-	m.fastEng.Store(eng)
-	if o.healthTests != nil && !o.healthTests.Disabled {
-		// The engine is live from here on, so failures release it through
-		// Close (stopping harvest goroutines), not the bare device closer.
-		failStarted := func(err error) (Source, error) {
-			g.Close()
-			return nil, err
-		}
-		hp := o.healthTests.withDefaults(false)
-		if hp.OnFailure == HealthActionEvict {
-			return failStarted(fmt.Errorf("drange: health action %q applies to OpenPool, not Open (there is no pool member to evict)", hp.OnFailure))
-		}
-		mon, err := health.New(hp.config())
-		if err != nil {
-			return failStarted(fmt.Errorf("drange: %w", err))
-		}
-		g.testsEnabled, g.testsPolicy = true, hp
-		m.monitor, m.startupOK = mon, true
-		if err := g.runStartupTests(); err != nil {
-			return failStarted(err)
-		}
-		if drbgOn {
-			// Instantiate the DRBG tier from a health-screened seed: the
-			// ledger registers as the monitor's credit sink before the seed
-			// harvest, so even the first seed accrues toward the credit
-			// windows.
-			g.drbgOn, g.drbgPolicy = true, drbgPolicy
-			if err := g.instantiateDRBGs(); err != nil {
-				return failStarted(err)
-			}
-		}
+	if err := g.open(ctx, []*Profile{profile}, o); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
@@ -457,20 +329,17 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 // the device built from the profile, never on the live device. It is safe
 // for concurrent use.
 //
-// A Generator is served as a 1-member pool: the embedded servingCore carries
-// the single member (engine, device, health monitor, DRBG state, tier
-// accounting) and implements Read, ReadBits, ReadRaw, Uint64 and Close — the
-// same implementations a Pool serves through.
+// A Generator is a 1-member pool: the embedded servingCore, built by the
+// same constructor as a Pool's, carries the single member (engine, device,
+// health monitor, DRBG state, tier accounting) and implements Read,
+// ReadBits, ReadRaw, Uint64, Close and the Stats snapshot — the same
+// implementations a Pool runs on.
 type Generator struct {
 	servingCore
-
-	profile *Profile
-	trcdNS  float64
-	sels    []core.BankSelection
 }
 
 // Profile returns the device profile this generator runs under.
-func (g *Generator) Profile() *Profile { return g.profile }
+func (g *Generator) Profile() *Profile { return g.members[0].profile }
 
 // Backend returns the name of the device backend this generator samples
 // ("sim" unless WithBackend or WithDevice chose otherwise; "custom" for a
@@ -481,7 +350,7 @@ func (g *Generator) Backend() string { return g.members[0].backend }
 func (g *Generator) Device() Device { return g.members[0].pub }
 
 // Banks returns the number of banks sampled for generation.
-func (g *Generator) Banks() int { return len(g.sels) }
+func (g *Generator) Banks() int { return len(g.members[0].sels) }
 
 // Shards returns the number of parallel harvesting shards: the WithShards
 // count (1 by default), clamped to the number of selected banks.
@@ -489,28 +358,22 @@ func (g *Generator) Shards() int { return g.members[0].eng.Shards() }
 
 // Cells returns the RNG cells sampled for generation, with the profile's
 // delta chain resolved.
-func (g *Generator) Cells() []Cell { return g.profile.EffectiveCells() }
+func (g *Generator) Cells() []Cell { return g.Profile().EffectiveCells() }
 
 // Selections returns the per-bank DRAM-word selections used for generation,
 // with the profile's delta chain resolved.
-func (g *Generator) Selections() []Selection { return g.profile.EffectiveSelections() }
+func (g *Generator) Selections() []Selection { return g.Profile().EffectiveSelections() }
 
 // DensityHistograms returns the Figure 7 data for this device: the number of
 // DRAM words containing x RNG cells, per bank.
-func (g *Generator) DensityHistograms() []Density { return g.profile.DensityHistograms() }
+func (g *Generator) DensityHistograms() []Density { return g.Profile().DensityHistograms() }
 
 // Stats returns the per-shard and aggregate throughput/latency accounting in
-// simulated DRAM time.
+// simulated DRAM time: a 1-member pool's Stats without the per-device
+// breakdown (Stats.Devices is nil).
 func (g *Generator) Stats() Stats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	st := statsFromEngine(g.members[0].eng.Stats())
-	// Per-shard delivery counts bits drained from the shard rings; the
-	// aggregate reports what callers actually received (they differ only
-	// under a post-processing chain).
-	st.BitsDelivered = g.delivered.Load()
-	st.Health = g.healthStatsLocked()
-	g.tierStatsLocked(&st)
+	st := g.stats()
+	st.Devices = nil
 	return st
 }
 
@@ -521,7 +384,7 @@ func (g *Generator) Stats() Stats {
 // neither pauses the harvest nor consumes the device's noise. The twin's own
 // noise is seeded, since no estimate depends on it.
 func (g *Generator) twinController(opts ...memctrl.Option) (*memctrl.Controller, error) {
-	p := g.profile
+	p := g.Profile()
 	dev, err := newDevice(p.Manufacturer, p.Serial, true, p.Geometry)
 	if err != nil {
 		return nil, err
@@ -531,8 +394,8 @@ func (g *Generator) twinController(opts ...memctrl.Option) (*memctrl.Controller,
 
 // checkBanks rejects a bank count outside [1, Banks()].
 func (g *Generator) checkBanks(banks int) error {
-	if banks <= 0 || banks > len(g.sels) {
-		return fmt.Errorf("drange: %d banks requested but the profile selects %d; pass a value in [1,%d]", banks, len(g.sels), len(g.sels))
+	if n := g.Banks(); banks <= 0 || banks > n {
+		return fmt.Errorf("drange: %d banks requested but the profile selects %d; pass a value in [1,%d]", banks, n, n)
 	}
 	return nil
 }
@@ -548,7 +411,8 @@ func (g *Generator) EstimateThroughput(banks, iterations int) (Throughput, error
 	if err != nil {
 		return Throughput{}, err
 	}
-	res, err := core.ThroughputEstimate(ctrl, g.sels, g.trcdNS, banks, iterations)
+	m := g.members[0]
+	res, err := core.ThroughputEstimate(ctrl, m.sels, m.trcdNS, banks, iterations)
 	if err != nil {
 		return Throughput{}, fmt.Errorf("drange: %w", err)
 	}
@@ -572,7 +436,8 @@ func (g *Generator) EstimateLatency(banks, bits int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lat, err := core.LatencyEstimate(ctrl, g.sels, g.trcdNS, banks, bits)
+	m := g.members[0]
+	lat, err := core.LatencyEstimate(ctrl, m.sels, m.trcdNS, banks, bits)
 	if err != nil {
 		return 0, fmt.Errorf("drange: %w", err)
 	}
@@ -582,7 +447,7 @@ func (g *Generator) EstimateLatency(banks, bits int) (float64, error) {
 // EstimateLatency64 measures the time in nanoseconds to produce 64 random
 // bits using all selected banks (Section 7.3).
 func (g *Generator) EstimateLatency64() (float64, error) {
-	return g.EstimateLatency(len(g.sels), 64)
+	return g.EstimateLatency(g.Banks(), 64)
 }
 
 // EstimateEnergyPerBit returns the marginal energy per generated bit in
@@ -592,7 +457,8 @@ func (g *Generator) EstimateEnergyPerBit(iterations int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	nj, err := core.EnergyEstimate(ctrl, g.sels, g.trcdNS, len(g.sels), iterations, power.NewLPDDR4Model())
+	m := g.members[0]
+	nj, err := core.EnergyEstimate(ctrl, m.sels, m.trcdNS, len(m.sels), iterations, power.NewLPDDR4Model())
 	if err != nil {
 		return 0, fmt.Errorf("drange: %w", err)
 	}

@@ -187,7 +187,7 @@ func TestOpenSkipsIdentification(t *testing.T) {
 	g := src.(*Generator)
 	dev := g.members[0].dev
 	const aheadBits = 32*64 + 256
-	iters := (aheadBits+g.profile.BitsPerIteration()-1)/g.profile.BitsPerIteration() + 1
+	iters := (aheadBits+g.Profile().BitsPerIteration()-1)/g.Profile().BitsPerIteration() + 1
 	// Every core-loop iteration reads, and activates, two words per bank.
 	maxOps := int64(iters * 2 * g.Banks())
 	st := dev.Stats()
@@ -474,7 +474,7 @@ func TestGeneratorEstimates(t *testing.T) {
 	}
 
 	// Out-of-range bank counts error instead of silently clamping.
-	if _, err := g.EstimateThroughput(len(g.sels)+1, 20); err == nil {
+	if _, err := g.EstimateThroughput(g.Banks()+1, 20); err == nil {
 		t.Error("bank count above the selection count accepted")
 	}
 	if _, err := g.EstimateThroughput(0, 20); err == nil {

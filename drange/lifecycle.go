@@ -262,18 +262,7 @@ func symbolEntropy3(p float64) float64 {
 // before the serving state, so a reader that observes the member serving
 // always loads the engine that state belongs to.
 func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) error {
-	pat, err := parsePattern(prof.Characterization.Pattern)
-	if err != nil {
-		return err
-	}
-	sels, err := coreSelections(prof.EffectiveCells(), prof.EffectiveSelections())
-	if err != nil {
-		return err
-	}
-	eng, err := core.NewEngine(c.pctx, m.dev, sels, core.EngineConfig{
-		Shards: m.shards,
-		TRNG:   core.TRNGConfig{TRCDNS: m.trcdNS, Pattern: pat},
-	})
+	eng, sels, err := c.buildEngine(m, prof)
 	if err != nil {
 		return err
 	}
@@ -298,7 +287,7 @@ func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) 
 		return fmt.Errorf("pool closed during readmission")
 	}
 	m.profile = prof
-	m.eng = eng
+	m.eng, m.sels = eng, sels
 	m.cur, m.curBits = 0, 0
 	m.win.Store(0)
 	m.biasDelta = 0

@@ -238,6 +238,9 @@ func (o *options) rejectPoolOnly(fn string) error {
 	if o.rechar != nil {
 		return fmt.Errorf("drange: WithRecharacterization applies to OpenPool, not %s", fn)
 	}
+	if ht := o.healthTests; ht != nil && !ht.Disabled && ht.OnFailure == HealthActionEvict {
+		return fmt.Errorf("drange: health action %q applies to OpenPool, not %s (there is no pool member to evict)", ht.OnFailure, fn)
+	}
 	return nil
 }
 

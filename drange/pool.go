@@ -3,9 +3,6 @@ package drange
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/health"
 )
 
 // HealthPolicy controls a pool's per-device health tracking. D-RaNGe's
@@ -62,9 +59,9 @@ func (p HealthPolicy) withDefaults() HealthPolicy {
 // temperature drift per HealthPolicy) and evicting unhealthy devices without
 // failing readers as long as one healthy device remains.
 //
-// The embedded servingCore carries the members and implements Read,
-// ReadBits, ReadRaw, Uint64 and Close — the same implementations a Generator
-// (a 1-member core) serves through.
+// The embedded servingCore carries the members and implements construction,
+// Read, ReadBits, ReadRaw, Uint64, Close and the Stats snapshot — the same
+// implementations a Generator (a 1-member core) runs on.
 type Pool struct {
 	servingCore
 }
@@ -86,19 +83,14 @@ type Pool struct {
 // Stats.Devices.
 //
 // ctx cancellation stops every member engine. Close releases all members.
-//
-//drange:holds mu construction: the pool is not published until OpenPool returns
+// OpenPool checks the pool-only options and resolves the HealthPolicy; the
+// members are built by the same constructor Open uses, so a 1-member pool
+// and a Generator over the same profile start identically.
 func OpenPool(ctx context.Context, profiles []*Profile, opts ...Option) (*Pool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("drange: OpenPool needs at least one profile")
 	}
 	o := buildOptions(opts)
-	if err := o.rejectCharacterizationOnly(); err != nil {
-		return nil, err
-	}
 	if o.device != nil {
 		return nil, fmt.Errorf("drange: WithDevice does not apply to OpenPool (it opens one device per profile); use WithDeviceBackend or open single Sources")
 	}
@@ -107,141 +99,13 @@ func OpenPool(ctx context.Context, profiles []*Profile, opts ...Option) (*Pool, 
 			return nil, fmt.Errorf("drange: WithDeviceBackend index %d outside the %d profiles", i, len(profiles))
 		}
 	}
-	// Resolve the DRBG tier first: it implies the health tests, so the
-	// member monitor construction below must already see the implied policy.
-	drbgPolicy, drbgOn, err := o.resolveDRBG()
-	if err != nil {
-		return nil, err
-	}
-	shardsPerDevice, err := o.shardCount()
-	if err != nil {
-		return nil, err
-	}
-	policy := HealthPolicy{}
-	if o.health != nil {
-		policy = *o.health
-	}
-	policy = policy.withDefaults()
-
-	pctx, cancel := context.WithCancel(ctx)
 	p := &Pool{}
-	p.policy = policy
-	p.cancel = cancel
-	if o.healthTests != nil && !o.healthTests.Disabled {
-		p.testsEnabled = true
-		p.testsPolicy = o.healthTests.withDefaults(true)
+	if o.health != nil {
+		p.policy = *o.health
 	}
-	if len(o.post) > 0 {
-		chain, err := newPostChain(o.post)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		p.post = chain
-	}
-	fail := func(err error) (*Pool, error) {
-		p.closeMembers()
-		cancel()
+	p.policy = p.policy.withDefaults()
+	if err := p.open(ctx, profiles, o); err != nil {
 		return nil, err
-	}
-	for i, profile := range profiles {
-		if profile == nil {
-			return fail(fmt.Errorf("drange: nil profile at index %d", i))
-		}
-		if err := profile.Validate(); err != nil {
-			return fail(fmt.Errorf("drange: profile %d: %w", i, err))
-		}
-		// Identity options pin every member, with Open's mismatch semantics.
-		if o.manufacturer != nil && *o.manufacturer != profile.Manufacturer {
-			return fail(fmt.Errorf("drange: device mismatch: profile %d was characterized on manufacturer %q, not %q", i, profile.Manufacturer, *o.manufacturer))
-		}
-		if o.serial != nil && *o.serial != profile.Serial {
-			return fail(fmt.Errorf("drange: device mismatch: profile %d was characterized on serial %d, not %d", i, profile.Serial, *o.serial))
-		}
-		if o.geometry != nil && *o.geometry != profile.Geometry {
-			return fail(fmt.Errorf("drange: device mismatch: profile %d geometry %+v differs from requested %+v", i, profile.Geometry, *o.geometry))
-		}
-		memberOpts := *o
-		if spec, ok := o.deviceBackends[i]; ok {
-			memberOpts.backend = &spec
-		}
-		pat, err := parsePattern(profile.Characterization.Pattern)
-		if err != nil {
-			return fail(fmt.Errorf("drange: profile %d: %w", i, err))
-		}
-		sels, err := coreSelections(profile.EffectiveCells(), profile.EffectiveSelections())
-		if err != nil {
-			return fail(fmt.Errorf("drange: profile %d: %w", i, err))
-		}
-		deterministic := profile.Characterization.Deterministic
-		if o.deterministic != nil {
-			deterministic = *o.deterministic
-		}
-		trcd := profile.Characterization.TRCDNS
-		if o.trcdNS != nil {
-			trcd = *o.trcdNS
-		}
-		dev, pub, backend, err := memberOpts.resolveDevice(profile.Manufacturer, profile.Serial, deterministic, profile.Geometry)
-		if err != nil {
-			return fail(fmt.Errorf("drange: pool device %d: %w", i, err))
-		}
-		m := &servingMember{
-			idx:       i,
-			profile:   profile,
-			backend:   backend,
-			pub:       pub,
-			dev:       dev,
-			shards:    shardsPerDevice,
-			trcdNS:    trcd,
-			ownsDev:   true,
-			baseTempC: pub.Temperature(),
-		}
-		p.members = append(p.members, m)
-		// Same verification Open performs: a backend that ignores the
-		// requested identity must not pool a device mismatching its profile
-		// (harvesting another device's cell coordinates is not random).
-		if s := pub.Serial(); s != profile.Serial {
-			return fail(fmt.Errorf("drange: pool device %d mismatch: profile was characterized on serial %d, but the device reports %d", i, profile.Serial, s))
-		}
-		if dg := pub.Geometry(); dg != profile.Geometry {
-			return fail(fmt.Errorf("drange: pool device %d mismatch: profile geometry %+v differs from the device's %+v", i, profile.Geometry, dg))
-		}
-		eng, err := core.NewEngine(pctx, dev, sels, core.EngineConfig{
-			Shards: shardsPerDevice,
-			TRNG:   core.TRNGConfig{TRCDNS: trcd, Pattern: pat},
-		})
-		if err != nil {
-			return fail(fmt.Errorf("drange: pool device %d: %w", i, err))
-		}
-		m.eng = eng
-		m.fastEng.Store(eng)
-		if p.testsEnabled {
-			mon, err := health.New(p.testsPolicy.config())
-			if err != nil {
-				return fail(fmt.Errorf("drange: %w", err))
-			}
-			m.monitor, m.startupOK = mon, true
-		}
-	}
-	if err := p.runStartupTests(); err != nil {
-		return fail(err)
-	}
-	if drbgOn {
-		p.drbgOn, p.drbgPolicy = true, drbgPolicy
-		if err := p.instantiateDRBGs(); err != nil {
-			return fail(err)
-		}
-	}
-	// The recharacterizer starts last, once the member set is final: members
-	// retired before this point (startup failures are terminal anyway) were
-	// never quarantined, so the channel starts empty.
-	if o.rechar != nil && !o.rechar.Disabled {
-		p.pctx = pctx
-		p.recharOn = true
-		p.recharPolicy = o.rechar.withDefaults()
-		p.recharCh = make(chan *servingMember, len(p.members))
-		p.recharWG.Add(1)
-		go p.recharacterizer(pctx)
 	}
 	return p, nil
 }
@@ -253,27 +117,31 @@ func (p *Pool) Devices() int { return len(p.members) }
 // breakdown in Stats.Devices. Shard entries across all devices are
 // flattened into Stats.Shards with globally renumbered shard indices;
 // evicted devices keep reporting the totals they reached before eviction.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := Stats{BitsDelivered: p.delivered.Load()}
-	if p.testsEnabled {
-		out.Health = &HealthStats{SymbolBits: p.testsPolicy.SymbolBits, StartupPassed: true}
+func (p *Pool) Stats() Stats { return p.stats() }
+
+// stats builds the Stats of both facades: the aggregate accounting plus the
+// per-device breakdown, which Generator.Stats drops.
+func (c *servingCore) stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := Stats{BitsDelivered: c.delivered.Load()}
+	if c.testsEnabled {
+		out.Health = &HealthStats{SymbolBits: c.testsPolicy.SymbolBits, StartupPassed: true}
 	}
-	out.TierRaw = TierStats{Reads: p.tierRawReads.Load(), Bytes: p.tierRawBytes.Load()}
-	out.TierDRBG = TierStats{Reads: p.tierDRBGReads.Load(), Bytes: p.tierDRBGBytes.Load()}
-	if p.drbgOn {
+	out.TierRaw = TierStats{Reads: c.tierRawReads.Load(), Bytes: c.tierRawBytes.Load()}
+	out.TierDRBG = TierStats{Reads: c.tierDRBGReads.Load(), Bytes: c.tierDRBGBytes.Load()}
+	if c.drbgOn {
 		out.DRBG = &DRBGStats{
-			Algorithm:            string(p.drbgPolicy.Algorithm),
-			PredictionResistance: p.drbgPolicy.PredictionResistance,
+			Algorithm:            string(c.drbgPolicy.Algorithm),
+			PredictionResistance: c.drbgPolicy.PredictionResistance,
 		}
 	}
-	if p.recharOn {
+	if c.recharOn {
 		out.Lifecycle = &LifecycleStats{}
 	}
 	bitsPerNS := 0.0
 	shardIdx := 0
-	for _, m := range p.members {
+	for _, m := range c.members {
 		est := statsFromEngine(m.eng.Stats())
 		state := m.lifecycle()
 		ds := PoolDeviceStats{

@@ -1,13 +1,14 @@
 package drange
 
-// The serving core shared by Generator and Pool. A Generator is served as a
-// 1-member pool: both facades embed a servingCore, so the scheduler, the
-// lock-free fast path, the locked path, the DRBG tier, the health/postprocess
-// attachment points and the tier accounting each exist exactly once. The
-// single flag selects the few surface differences a 1-member core keeps —
-// error wording ("source" versus "pool"), bare error propagation instead of
-// per-device wrapping, and no device-health bias windows (HealthPolicy
-// applies to pools).
+// The serving core shared by Generator and Pool. A Generator is a 1-member
+// pool: both facades embed a servingCore built by the same constructor, so
+// construction, the scheduler, the lock-free fast path, the locked path, the
+// DRBG tier, the health/postprocess attachment points, the tier accounting
+// and the Stats snapshot each exist exactly once. The single flag selects the
+// few surface differences a 1-member core keeps — error wording ("source"
+// versus "pool"), bare error propagation instead of per-device wrapping, the
+// HealthActionDefault resolution and Close's error report. Open also disables
+// the device-health bias windows (HealthPolicy applies to pools).
 
 import (
 	"context"
@@ -71,6 +72,10 @@ type servingMember struct {
 	pub     Device
 	eng     *core.Engine
 	ownsDev bool
+
+	// sels are the core selections eng harvests, resolved from profile;
+	// profile, eng and sels change together, only on readmission.
+	sels []core.BankSelection
 
 	// dev is the internal device handle the background recharacterizer
 	// profiles and rebuilds engines over; shards and trcdNS are the
@@ -183,14 +188,16 @@ func (m *servingMember) takeLocked(k int) uint64 {
 }
 
 // servingCore is the shared serving machinery behind Generator and Pool. The
-// facades embed it, so Read, ReadBits, ReadRaw, Uint64 and Close are the
-// core's (single implementations); Stats stays facade-side because the two
-// surfaces report different breakdowns over the same counters.
+// facades embed it, so construction (open), Read, ReadBits, ReadRaw, Uint64,
+// Close and the Stats snapshot (stats) are the core's single
+// implementations; the facades add only their option checks, and a
+// Generator drops the per-device breakdown from Stats.
 type servingCore struct {
 	mu sync.Mutex
 	// single marks a Generator core (one member, idx -1): closed-source
-	// errors say "source", engine errors propagate bare instead of wrapped
-	// per device, and Close reports engine/device release errors.
+	// errors say "source", member errors propagate bare instead of wrapped
+	// per device, HealthActionDefault resolves to HealthActionError, and
+	// Close reports engine/device release errors.
 	single  bool
 	members []*servingMember
 	// policy is the pool device-health policy (bias/temperature windows); a
@@ -201,8 +208,8 @@ type servingCore struct {
 	testsEnabled bool
 	testsPolicy  HealthTestPolicy
 	post         *postChain
-	// cancel stops the member engines of a pool (nil for a Generator, whose
-	// engine is stopped directly by Close).
+	// cancel stops the member engines; Close calls it before releasing the
+	// members.
 	cancel context.CancelFunc
 
 	// remainder reports whether any member holds sub-word buffered bits
@@ -226,8 +233,7 @@ type servingCore struct {
 
 	// pctx is the context the member engines run under; the background
 	// recharacterizer builds readmitted engines on it so Close stops them
-	// with everything else. nil for a Generator, which never
-	// recharacterizes.
+	// with everything else.
 	pctx context.Context
 	// recharOn/recharPolicy carry the resolved WithRecharacterization
 	// policy. recharCh feeds quarantined members to the recharacterizer
@@ -256,6 +262,189 @@ func (c *servingCore) errClosed() error {
 		return fmt.Errorf("drange: source is closed")
 	}
 	return fmt.Errorf("drange: pool is closed")
+}
+
+// memberErr reports err from the device of member idx: a pool names the
+// device, with what was under way; a Generator has only the one device, so
+// its errors propagate bare.
+func (c *servingCore) memberErr(idx int, what string, err error) error {
+	if c.single {
+		return err
+	}
+	return fmt.Errorf("drange: pool device %d%s: %w", idx, what, err)
+}
+
+// open builds one member per profile and brings the core up to serving: the
+// one construction path behind Open and OpenPool, which set only single and
+// policy beforehand. The post-processing chain is built before any device
+// opens, and a failed open stops every engine it started and releases every
+// device it opened — never a WithDevice device.
+//
+//drange:holds mu construction: the core is not published until open returns
+func (c *servingCore) open(ctx context.Context, profiles []*Profile, o *options) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := o.rejectCharacterizationOnly(); err != nil {
+		return err
+	}
+	// Resolve the DRBG tier first: it implies the health tests, so the
+	// member monitors built below must already see the implied policy.
+	drbgPolicy, drbgOn, err := o.resolveDRBG()
+	if err != nil {
+		return err
+	}
+	shards, err := o.shardCount()
+	if err != nil {
+		return err
+	}
+	if o.healthTests != nil && !o.healthTests.Disabled {
+		c.testsEnabled = true
+		c.testsPolicy = o.healthTests.withDefaults(!c.single)
+	}
+	if len(o.post) > 0 {
+		if c.post, err = newPostChain(o.post); err != nil {
+			return err
+		}
+	}
+	c.pctx, c.cancel = context.WithCancel(ctx)
+	fail := func(err error) error {
+		c.closeMembers()
+		c.cancel()
+		return err
+	}
+	for i, profile := range profiles {
+		idx := i
+		if c.single {
+			idx = -1 // the Device a Generator's HealthErrors report
+		}
+		if err := c.openMember(idx, profile, o, shards); err != nil {
+			return fail(c.memberErr(idx, "", err))
+		}
+	}
+	if err := c.runStartupTests(); err != nil {
+		return fail(err)
+	}
+	if drbgOn {
+		// Instantiate the DRBG tier from health-screened seeds: each ledger
+		// registers as its member monitor's credit sink before the seed
+		// harvest, so even the first seed accrues toward the credit windows.
+		c.drbgOn, c.drbgPolicy = true, drbgPolicy
+		if err := c.instantiateDRBGs(); err != nil {
+			return fail(err)
+		}
+	}
+	// The recharacterizer starts last, once the member set is final: members
+	// retired before this point (startup failures are terminal anyway) were
+	// never quarantined, so the channel starts empty.
+	if o.rechar != nil && !o.rechar.Disabled {
+		c.recharOn = true
+		c.recharPolicy = o.rechar.withDefaults()
+		c.recharCh = make(chan *servingMember, len(c.members))
+		c.recharWG.Add(1)
+		go c.recharacterizer(c.pctx)
+	}
+	return nil
+}
+
+// openMember opens the device for one profile — through WithDevice, the
+// member's WithDeviceBackend override, WithBackend or the sim default — and
+// starts its engine and health monitor. The member joins c.members as soon as
+// its device is open, so a failure after that point releases the device with
+// the rest of the failed construction.
+//
+//drange:holds mu construction: runs from open before the core is published
+func (c *servingCore) openMember(idx int, profile *Profile, o *options, shards int) error {
+	if profile == nil {
+		return fmt.Errorf("drange: nil profile")
+	}
+	if err := profile.Validate(); err != nil {
+		return err
+	}
+	if o.manufacturer != nil && *o.manufacturer != profile.Manufacturer {
+		return fmt.Errorf("drange: device mismatch: profile was characterized on manufacturer %q, not %q", profile.Manufacturer, *o.manufacturer)
+	}
+	if o.serial != nil && *o.serial != profile.Serial {
+		return fmt.Errorf("drange: device mismatch: profile was characterized on serial %d, not %d", profile.Serial, *o.serial)
+	}
+	if o.geometry != nil && *o.geometry != profile.Geometry {
+		return fmt.Errorf("drange: device mismatch: profile geometry %+v differs from requested %+v", profile.Geometry, *o.geometry)
+	}
+	deterministic := profile.Characterization.Deterministic
+	if o.deterministic != nil {
+		deterministic = *o.deterministic
+	}
+	trcd := profile.Characterization.TRCDNS
+	if o.trcdNS != nil {
+		trcd = *o.trcdNS
+	}
+	memberOpts := *o
+	if spec, ok := o.deviceBackends[idx]; ok {
+		memberOpts.backend = &spec
+	}
+	dev, pub, backend, err := memberOpts.resolveDevice(profile.Manufacturer, profile.Serial, deterministic, profile.Geometry)
+	if err != nil {
+		return err
+	}
+	m := &servingMember{
+		idx:       idx,
+		profile:   profile,
+		backend:   backend,
+		pub:       pub,
+		dev:       dev,
+		shards:    shards,
+		trcdNS:    trcd,
+		ownsDev:   o.device == nil,
+		baseTempC: pub.Temperature(),
+	}
+	c.members = append(c.members, m)
+	// Backends construct to the profile's identity, but a WithDevice device
+	// is whatever the caller handed us, and a backend may ignore the request:
+	// verify the device before sampling — RNG-cell locations are per-device
+	// process variation, and reading another device's cells would not be
+	// random.
+	if s := pub.Serial(); s != profile.Serial {
+		return fmt.Errorf("drange: device mismatch: profile was characterized on serial %d, but the device reports %d", profile.Serial, s)
+	}
+	if dg := pub.Geometry(); dg != profile.Geometry {
+		return fmt.Errorf("drange: device mismatch: profile geometry %+v differs from the device's %+v", profile.Geometry, dg)
+	}
+	eng, sels, err := c.buildEngine(m, profile)
+	if err != nil {
+		return err
+	}
+	m.eng, m.sels = eng, sels
+	m.fastEng.Store(eng)
+	if c.testsEnabled {
+		mon, err := health.New(c.testsPolicy.config())
+		if err != nil {
+			return fmt.Errorf("drange: %w", err)
+		}
+		m.monitor, m.startupOK = mon, true
+	}
+	return nil
+}
+
+// buildEngine starts a harvesting engine over m's device for prof's
+// effective selections, under the core's engine context, and returns it with
+// those selections. Construction and readmission both build engines here.
+func (c *servingCore) buildEngine(m *servingMember, prof *Profile) (*core.Engine, []core.BankSelection, error) {
+	pat, err := parsePattern(prof.Characterization.Pattern)
+	if err != nil {
+		return nil, nil, err
+	}
+	sels, err := coreSelections(prof.EffectiveCells(), prof.EffectiveSelections())
+	if err != nil {
+		return nil, nil, err
+	}
+	eng, err := core.NewEngine(c.pctx, m.dev, sels, core.EngineConfig{
+		Shards: m.shards,
+		TRNG:   core.TRNGConfig{TRCDNS: m.trcdNS, Pattern: pat},
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("drange: %w", err)
+	}
+	return eng, sels, nil
 }
 
 // maxReadChunkBytes bounds how much of an oversized Read request the locked
@@ -440,12 +629,9 @@ func (c *servingCore) nextMemberWithBitsLocked() (*servingMember, error) {
 			// Engine failure (device error, cancelled context, closed
 			// engine): evict and reschedule. The eviction keeps the last
 			// member, so a pool whose every engine is dead surfaces the
-			// error; a single-member core propagates it bare.
-			if c.single {
-				return nil, err
-			}
+			// error.
 			if c.healthyLocked() <= 1 {
-				return nil, fmt.Errorf("drange: pool device %d (last healthy device): %w", m.idx, err)
+				return nil, c.memberErr(m.idx, " (last healthy device)", err)
 			}
 			c.evictLocked(m, fmt.Sprintf("engine failure: %v", err))
 			continue
@@ -602,11 +788,11 @@ func (c *servingCore) updateRemainderLocked() {
 // runStartupTests runs the startup self-test over every member's first
 // StartupBits bits before the core serves a byte. Under the HealthActionEvict
 // action a failing member is evicted at open (it never serves); unlike
-// runtime eviction this may empty the pool, which fails the open — a fleet
-// where every device flunks its self-test must not come up at all. Any other
-// action fails the open on the first failing member.
+// runtime eviction, every member failing fails the open — a fleet where every
+// device flunks its self-test must not come up at all. Any other action fails
+// the open on the first failing member.
 //
-//drange:holds mu construction: runs from Open/OpenPool before the core is published
+//drange:holds mu construction: runs from open before the core is published
 func (c *servingCore) runStartupTests() error {
 	if !c.testsEnabled || c.testsPolicy.StartupBits <= 0 {
 		return nil
@@ -616,10 +802,7 @@ func (c *servingCore) runStartupTests() error {
 	for _, m := range c.members {
 		sample, err := m.eng.ReadBits(c.testsPolicy.StartupBits)
 		if err != nil {
-			if c.single {
-				return err
-			}
-			return fmt.Errorf("drange: pool device %d startup sample: %w", m.idx, err)
+			return c.memberErr(m.idx, " startup sample", err)
 		}
 		serr := runStartup(sample, c.testsPolicy, m.idx)
 		if serr == nil {
@@ -634,15 +817,11 @@ func (c *servingCore) runStartupTests() error {
 		}
 		// Startup failures are terminal even under WithRecharacterization:
 		// a device that flunks its self-test straight after characterization
-		// has nothing fresher to re-characterize from.
+		// has nothing fresher to re-characterize from. The eviction keeps
+		// the last serving member only when every other one has failed
+		// already; the open then fails and releases it.
 		m.startupOK = false
-		m.fastEng.Store(nil)
-		m.state.Store(int32(memberEvicted))
-		m.reason = fmt.Sprintf("startup health test failed: %v", serr)
-		m.eng.Close()
-		if m.ownsDev {
-			closeDevice(m.pub)
-		}
+		c.evictLocked(m, fmt.Sprintf("startup health test failed: %v", serr))
 	}
 	if failed == len(c.members) {
 		return fmt.Errorf("drange: every pool device failed its startup health test: %w", firstErr)
@@ -660,7 +839,7 @@ func (c *servingCore) runStartupTests() error {
 // runStartupTests: the evict policy drops it (reads reroute), any other
 // policy fails the open.
 //
-//drange:holds mu construction: runs from Open/OpenPool before the core is published
+//drange:holds mu construction: runs from open before the core is published
 func (c *servingCore) instantiateDRBGs() error {
 	n := int64(c.healthyLocked())
 	if n == 0 {
@@ -707,11 +886,8 @@ func (c *servingCore) harvestSeedLocked(m *servingMember, seed []byte) error {
 	blocked := 0
 	for {
 		if err := m.eng.ReadPacked(seed); err != nil {
-			if c.single {
-				return err
-			}
 			if c.healthyLocked() <= 1 {
-				return fmt.Errorf("drange: pool device %d (last healthy device): %w", m.idx, err)
+				return c.memberErr(m.idx, " (last healthy device)", err)
 			}
 			c.evictLocked(m, fmt.Sprintf("engine failure: %v", err))
 			return errDRBGMemberEvicted
@@ -1089,9 +1265,6 @@ func (c *servingCore) readFast(dst []byte) (int, error) {
 		}
 		if err := eng.ReadPacked(chunk); err != nil {
 			m.fetched.Add(-int64(n) * 8)
-			if c.single {
-				return 0, err
-			}
 			c.mu.Lock()
 			if c.closed.Load() {
 				c.mu.Unlock()
@@ -1107,7 +1280,7 @@ func (c *servingCore) readFast(dst []byte) (int, error) {
 			}
 			if c.healthyLocked() <= 1 {
 				c.mu.Unlock()
-				return 0, fmt.Errorf("drange: pool device %d (last healthy device): %w", m.idx, err)
+				return 0, c.memberErr(m.idx, " (last healthy device)", err)
 			}
 			c.evictLocked(m, fmt.Sprintf("engine failure: %v", err))
 			c.mu.Unlock()
@@ -1191,26 +1364,4 @@ func (c *servingCore) closeMembers() error {
 		}
 	}
 	return err
-}
-
-// tierStatsLocked fills the per-tier serving counters — and, for a
-// single-device core, the DRBG snapshot — into st. Callers hold mu.
-func (c *servingCore) tierStatsLocked(st *Stats) {
-	st.TierRaw = TierStats{Reads: c.tierRawReads.Load(), Bytes: c.tierRawBytes.Load()}
-	st.TierDRBG = TierStats{Reads: c.tierDRBGReads.Load(), Bytes: c.tierDRBGBytes.Load()}
-	if c.drbgOn && c.single {
-		if d := c.members[0].drbg; d != nil {
-			st.DRBG = d.stats()
-		}
-	}
-}
-
-// healthStatsLocked snapshots a single-device core's health accounting (nil
-// without WithHealthTests). Callers hold mu.
-func (c *servingCore) healthStatsLocked() *HealthStats {
-	m := c.members[0]
-	if m.monitor == nil {
-		return nil
-	}
-	return healthStatsFrom(m.monitor, m.blockedWindows, m.startupOK)
 }

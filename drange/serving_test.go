@@ -3,6 +3,7 @@ package drange
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -74,7 +75,8 @@ var opUint64 = servingOp{"Uint64", func(t *testing.T, src Source) []byte {
 }}
 
 // runInterleaving drives both sources through the same op sequence and
-// asserts every step produces identical bytes.
+// asserts every step produces identical bytes, then that both report the
+// same Stats apart from the pool's one-entry per-device breakdown.
 func runInterleaving(t *testing.T, gen, pool Source, ops []servingOp) {
 	t.Helper()
 	for i, op := range ops {
@@ -84,6 +86,35 @@ func runInterleaving(t *testing.T, gen, pool Source, ops []servingOp) {
 			t.Fatalf("step %d (%s): generator and 1-member pool diverge\n gen:  %x\n pool: %x", i, op.name, gb, pb)
 		}
 	}
+	gs, ps := gen.Stats(), pool.Stats()
+	if gs.Devices != nil {
+		t.Errorf("generator Stats.Devices = %+v, want nil", gs.Devices)
+	}
+	if len(ps.Devices) != 1 {
+		t.Errorf("1-member pool Stats.Devices has %d entries, want 1", len(ps.Devices))
+	}
+	ps.Devices = nil
+	gj, pj := statsJSONWithoutHarvestAhead(t, gs), statsJSONWithoutHarvestAhead(t, ps)
+	if gj != pj {
+		t.Errorf("generator and 1-member pool Stats diverge\n gen:  %s\n pool: %s", gj, pj)
+	}
+}
+
+// statsJSONWithoutHarvestAhead renders st with the fields zeroed that depend
+// on how far the engine harvested ahead of the reader, which varies between
+// runs of the same reads.
+func statsJSONWithoutHarvestAhead(t *testing.T, st Stats) string {
+	t.Helper()
+	st.BitsHarvested, st.AggregateThroughputMbps, st.Latency64NS = 0, 0, 0
+	for i := range st.Shards {
+		s := &st.Shards[i]
+		s.BitsHarvested, s.SimCycles, s.SimNS, s.ThroughputMbps, s.Latency64NS = 0, 0, 0, 0, 0
+	}
+	out, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 // TestGeneratorMatchesSinglePoolRaw pins the Generator ≡ 1-member-Pool
@@ -120,6 +151,35 @@ func TestGeneratorMatchesSinglePoolDRBG(t *testing.T) {
 		opRead(100), // spans multiple MaxRequestBytes chunks and a reseed
 		opReadRaw(24),
 		opRead(8),
+	})
+}
+
+// TestGeneratorMatchesSinglePoolHealth pins the contract with the online
+// health tests attached and two shards per device: the startup sample, the
+// monitor counters and the per-shard accounting match too.
+func TestGeneratorMatchesSinglePoolHealth(t *testing.T) {
+	gen := openQuick(t, WithShards(2), WithHealthTests(HealthTestPolicy{}))
+	pool := openQuickPool(t, WithShards(2), WithHealthTests(HealthTestPolicy{}))
+	runInterleaving(t, gen, pool, []servingOp{
+		opRead(7),
+		opReadBits(13),
+		opReadRaw(64),
+		opUint64,
+		opRead(300),
+	})
+}
+
+// TestGeneratorMatchesSinglePoolVonNeumann pins the contract behind a
+// post-processing chain with two shards per device.
+func TestGeneratorMatchesSinglePoolVonNeumann(t *testing.T) {
+	gen := openQuick(t, WithShards(2), WithPostprocess(VonNeumann()))
+	pool := openQuickPool(t, WithShards(2), WithPostprocess(VonNeumann()))
+	runInterleaving(t, gen, pool, []servingOp{
+		opRead(16),
+		opReadBits(13),
+		opUint64,
+		opReadRaw(100),
+		opReadBits(64),
 	})
 }
 

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dram"
@@ -70,7 +71,7 @@ func TestCommandScheduleHarvestDeterministic(t *testing.T) {
 	if _, err := c.Harvest(dev, 0); err == nil {
 		t.Error("zero bits accepted")
 	}
-	if _, err := c.Harvest(dev, 1<<40); err == nil {
+	if _, err := c.Harvest(dev, math.MaxInt); err == nil {
 		t.Error("request beyond device capacity accepted (would preallocate 1 TiB)")
 	}
 }
@@ -172,7 +173,7 @@ func TestStartupHarvestRepeatsWithoutPowerCycle(t *testing.T) {
 	if _, err := s.Harvest(nil, 10); err == nil {
 		t.Error("nil device accepted")
 	}
-	if _, err := s.Harvest(dev, 1<<40); err == nil {
+	if _, err := s.Harvest(dev, math.MaxInt); err == nil {
 		t.Error("request beyond device capacity accepted")
 	}
 }
