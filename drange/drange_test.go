@@ -588,7 +588,8 @@ func TestPostprocessChain(t *testing.T) {
 // steady-state read allocates nothing in any serving configuration — the
 // lock-free raw path, the monitored and DRBG tiers, a von Neumann chain
 // (whose stages reuse their carry and output buffers while the chain compacts
-// its buffer in place) and multi-device pools.
+// its buffer in place), multi-device pools and OS-entropy device noise (whose
+// buffer is refilled in place).
 func TestPostprocessedReadRawNoAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -604,6 +605,7 @@ func TestPostprocessedReadRawNoAlloc(t *testing.T) {
 		{"von Neumann", 0, []Option{WithPostprocess(VonNeumann())}, true},
 		{"3-device pool", 3, nil, false},
 		{"pool with health tests", 3, []Option{WithHealthTests(HealthTestPolicy{})}, false},
+		{"physical noise", 0, []Option{WithDeterministic(false)}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var src Source

@@ -97,6 +97,11 @@ var requiredNoalloc = []struct {
 	{"internal/core/trng.go", "ReadPacked"},
 	{"internal/core/bitbuf.go", "PopPacked"},
 	{"internal/memctrl/controller.go", "ReadWordInto"},
+	{"internal/dram/device.go", "ReadWordInto"},
+	{"internal/dram/device.go", "injectFailuresLocked"},
+	{"internal/dram/noise.go", "pair"},
+	{"internal/dram/noise.go", "wordLocked"},
+	{"internal/dram/noise.go", "refillLocked"},
 	{"internal/health/health.go", "IngestPacked"},
 	{"internal/postproc/packed.go", "AppendPacked"},
 	{"internal/postproc/packed.go", "Drop"},

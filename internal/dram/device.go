@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/timing"
@@ -49,10 +50,6 @@ type Device struct {
 	geom    Geometry
 	timing  timing.Params
 	noise   NoiseSource
-	// bankNoise caches the BankNoiseSource capability of noise (nil when
-	// unsupported) so the per-word failure-injection path does not repeat
-	// the type assertion.
-	bankNoise BankNoiseSource
 
 	mu           sync.Mutex
 	temperatureC float64        // drange:guardedby mu
@@ -76,11 +73,22 @@ type Device struct {
 }
 
 // injectInfo is everything failure injection needs about one DRAM word: the
-// weak column indices and, aligned with them, the cell characters.
+// weak column indices and, aligned with them, the cell characters and
+// first-draw table.
 type injectInfo struct {
 	cols  []int
 	chars []CellCharacter
+	// firstDraws holds one entry per (weak cell i, differing-neighbour count
+	// n) at i*neighbourCounts+n, filled on first use for the temperature and
+	// tRCD recorded beside it and cleared when either changes. One word per
+	// entry keeps the table small next to the row data.
+	firstDraws    []firstDraw
+	tempC, trcdNS float64
 }
+
+// neighbourCounts is the number of differing-neighbour counts a cell can
+// see: 0–4 of left, right, above and below.
+const neighbourCounts = 5
 
 // DeviceStats counts the operations a device has performed; useful for
 // asserting experimental methodology in tests and for energy accounting
@@ -167,14 +175,12 @@ func NewDevice(cfg Config) (*Device, error) {
 		noise = NewPhysicalNoise()
 	}
 
-	bankNoise, _ := noise.(BankNoiseSource)
 	d := &Device{
 		serial:       cfg.Serial,
 		profile:      prof,
 		geom:         geom,
 		timing:       tp,
 		noise:        noise,
-		bankNoise:    bankNoise,
 		temperatureC: BaselineTemperatureC,
 		banks:        make([]*bankStorage, geom.Banks),
 		weakCols:     make(map[weakKey][][]int),
@@ -258,7 +264,13 @@ func (d *Device) injectInfoLocked(bank, row, wordIdx int) *injectInfo {
 		return info
 	}
 	weak := d.weakColumnsLocked(bank, d.subarrayOf(row))[wordIdx]
-	info := &injectInfo{cols: weak, chars: make([]CellCharacter, len(weak))}
+	// trcdNS stays 0, which no activation uses, so the first injection
+	// records its conditions over the still-empty table.
+	info := &injectInfo{
+		cols:       weak,
+		chars:      make([]CellCharacter, len(weak)),
+		firstDraws: make([]firstDraw, neighbourCounts*len(weak)),
+	}
 	for i, col := range weak {
 		info.chars[i] = cellCharacter(d.serial, bank, row, col, d.geom, d.profile)
 	}
@@ -467,8 +479,9 @@ func (d *Device) Refresh() error {
 // accessed since the activation, activation failures are injected: each
 // vulnerable cell in the word may return (and restore into the array) the
 // wrong value, with a probability determined by its process variation, the
-// surrounding data pattern, and the device temperature, resolved by the
-// device's noise source. The returned slice is a copy owned by the caller.
+// surrounding data pattern, and the device temperature, resolved by words
+// drawn from the noise source's stream for bank (see injectFailuresLocked).
+// The returned slice is a copy owned by the caller.
 func (d *Device) ReadWord(bank, wordIdx int) ([]uint64, error) {
 	out := make([]uint64, d.geom.wordU64s())
 	if err := d.ReadWordInto(bank, wordIdx, out); err != nil {
@@ -480,6 +493,8 @@ func (d *Device) ReadWord(bank, wordIdx int) ([]uint64, error) {
 // ReadWordInto is ReadWord writing into dst (which must hold wordU64s
 // uint64s): the allocation-free fast path sampling loops use through
 // device.WordReaderInto. Failure-injection semantics are identical.
+//
+//drange:noalloc
 func (d *Device) ReadWordInto(bank, wordIdx int, dst []uint64) error {
 	if err := d.checkBank(bank); err != nil {
 		return err
@@ -577,14 +592,34 @@ func (d *Device) ReadRowRaw(bank, row int) ([]uint64, error) {
 // wordIdx of row (whose stored data is data), for an activation performed
 // with latency trcdNS. Failed cells are flipped both in the returned data and
 // in the stored array (the sense amplifier restores the wrong value).
+//
+// The bitline differential of a vulnerable cell at read time is its latency
+// margin plus analog noise σ·g, with g the Box–Muller sample of two words
+// (u₁, u₂) from the bank's noise stream. Below the metastable window the
+// sense amplifier latches the wrong value; inside the window it is metastable
+// and resolves from symmetric noise — a fair coin, the sign of a second
+// sample. The kernel draws exactly those words in that order, under one lock
+// of the stream per DRAM word, and decides mostly from the words themselves:
+// a u₁ at or above the cell's firstDraw threshold leaves the differential in
+// the region the margin alone puts it in, and the coin is the quadrant of the
+// second sample's u₂ (coinQuadrant). Box–Muller runs only where rounding
+// could decide, so every outcome is the one the float expression gives.
+//
+//drange:noalloc
 func (d *Device) injectFailuresLocked(bank, row, wordIdx int, trcdNS float64, data []uint64) {
 	info := d.injectInfoLocked(bank, row, wordIdx)
 	if len(info.cols) == 0 {
 		return
 	}
+	temp := d.temperatureC
+	if info.tempC != temp || info.trcdNS != trcdNS {
+		clear(info.firstDraws)
+		info.tempC, info.trcdNS = temp, trcdNS
+	}
 	// Materialise the neighbouring rows once per injection instead of once
 	// per neighbour probe; the slices alias the stored rows, so intra-word
-	// flips stay visible to later cells exactly as before.
+	// flips stay visible to later cells, whose neighbour counts are taken
+	// live.
 	var above, below []uint64
 	if row > 0 {
 		above = d.rowDataLocked(bank, row-1)
@@ -592,7 +627,8 @@ func (d *Device) injectFailuresLocked(bank, row, wordIdx int, trcdNS float64, da
 	if row < d.geom.RowsPerBank-1 {
 		below = d.rowDataLocked(bank, row+1)
 	}
-	temp := d.temperatureC
+	noise := d.noise.lockWords(bank)
+	defer noise.unlock()
 	for i, col := range info.cols {
 		c := &info.chars[i]
 		stored := getBit(data, col)
@@ -600,18 +636,22 @@ func (d *Device) injectFailuresLocked(bank, row, wordIdx int, trcdNS float64, da
 			continue
 		}
 		diff := differingNeighbors(data, above, below, col, d.geom.ColsPerRow, stored)
-		margin := trcdNS - c.EffectiveTCritNS(temp, diff)
-		// The bitline differential at read time is the margin plus analog
-		// noise. Below the metastable window the sense amplifier latches the
-		// wrong value; inside the window it is metastable and resolves from
-		// symmetric noise — a fair coin flip drawn from the noise source.
-		differential := margin + c.NoiseSigmaNS*d.gaussianFor(bank)
-		fail := false
-		switch {
-		case differential < -c.MetastableWindowNS:
-			fail = true
-		case differential <= c.MetastableWindowNS:
-			fail = d.gaussianFor(bank) < 0
+		fd := &info.firstDraws[i*neighbourCounts+diff]
+		if *fd == 0 {
+			*fd = newFirstDraw(trcdNS-c.EffectiveTCritNS(temp, diff), c.MetastableWindowNS, c.NoiseSigmaNS)
+		}
+		u1, u2 := noise.pair()
+		reg, ok := fd.decide(u1)
+		if !ok {
+			margin := trcdNS - c.EffectiveTCritNS(temp, diff)
+			reg = regionOf(margin+c.NoiseSigmaNS*boxMuller(unitFloat(u1), unitFloat(u2)), c.MetastableWindowNS)
+		}
+		fail := reg == fails
+		if reg == metastable {
+			v1, v2 := noise.pair()
+			if fail, ok = coinQuadrant(v2); !ok {
+				fail = boxMuller(unitFloat(v1), unitFloat(v2)) < 0
+			}
 		}
 		if fail {
 			flipBit(data, col)
@@ -620,15 +660,86 @@ func (d *Device) injectFailuresLocked(bank, row, wordIdx int, trcdNS float64, da
 	}
 }
 
-// gaussianFor returns one analog-noise sample attributed to bank. Per-bank
-// noise sources tie each draw to the bank being accessed, so a bank's
-// failure outcomes depend only on its own command order (see
-// BankNoiseSource); other sources draw from their single shared stream.
-func (d *Device) gaussianFor(bank int) float64 {
-	if d.bankNoise != nil {
-		return d.bankNoise.GaussianFor(bank)
+// region is where a bitline differential falls against the metastable
+// window ±w.
+type region uint8
+
+const (
+	passes     region = iota // above +w: the cell reads correctly
+	metastable               // within ±w: a fair coin decides
+	fails                    // below −w: the cell latches the wrong value
+)
+
+// regionOf classifies the differential x against the window ±w.
+func regionOf(x, w float64) region {
+	switch {
+	case x < -w:
+		return fails
+	case x <= w:
+		return metastable
 	}
-	return d.noise.Gaussian()
+	return passes
+}
+
+// firstDraw is one first-draw table entry: the region a cell's margin m puts
+// its differential in (top bits) and a threshold T on u₁>>11 (low bits). With
+// d the distance from m to its region's nearest edge and R = (d/σ)(1 − 10⁻⁶),
+// T = ⌈e^(−R²/2)·2⁵³⌉ + 1, so u₁>>11 ≥ T implies a Box–Muller radius
+// √(−2 ln u₁) < R and |σ·g| < d: the sample cannot leave m's region, and the
+// 10⁻⁶ slack dwarfs the rounding of every float step. Margins within
+// minFastDistanceNS of an edge always take the exact path. T ≥ 1, so u₁ = 0,
+// which Box–Muller clamps, is exact too, and 0 marks an entry not yet filled.
+type firstDraw uint64
+
+const (
+	firstDrawRegionShift = 62
+	minFastDistanceNS    = 1e-6
+)
+
+// newFirstDraw returns the entry for margin m under window ±w and noise σ.
+func newFirstDraw(m, w, sigma float64) firstDraw {
+	reg := regionOf(m, w)
+	var d float64
+	switch reg {
+	case fails:
+		d = -w - m
+	case metastable:
+		d = min(m+w, w-m)
+	default:
+		d = m - w
+	}
+	t := uint64(1) << 53 // above every u₁>>11: always exact
+	if d > minFastDistanceNS {
+		r := d / sigma * (1 - 1e-6)
+		t = uint64(math.Ceil(math.Exp(-r*r/2)*(1<<53))) + 1
+	}
+	return firstDraw(uint64(reg)<<firstDrawRegionShift | t)
+}
+
+// decide returns the region of the entry's margin and whether u₁ clears the
+// threshold; when it does not, the float expression must decide.
+func (f firstDraw) decide(u1 uint64) (region, bool) {
+	return region(f >> firstDrawRegionShift), u1>>11 >= uint64(f)&(1<<firstDrawRegionShift-1)
+}
+
+const (
+	quarterTurn = 1 << 51 // u₂>>11 of u₂ = ¼
+	// coinBand is the half-width, in steps of u₂>>11, of the bands around ¼
+	// and ¾ where coinQuadrant defers to the float expression: 2⁻³³ of a
+	// turn, far wider than the rounding of 2π·u₂ and of cos.
+	coinBand = 1 << 20
+)
+
+// coinQuadrant decides a metastable cell's coin — whether the Box–Muller
+// sample √(−2 ln v₁)·cos(2πv₂) is negative — from v₂ alone: the radius is
+// positive and finite, so the sample is negative exactly when v₂ ∈ (¼, ¾).
+// ok is false within coinBand of ¼ and ¾, where rounding sets the sign.
+func coinQuadrant(v2 uint64) (fail, ok bool) {
+	k := v2 >> 11
+	if k-(quarterTurn-coinBand) <= 2*coinBand || k-(3*quarterTurn-coinBand) <= 2*coinBand {
+		return false, false
+	}
+	return k > quarterTurn && k < 3*quarterTurn, true
 }
 
 // differingNeighborsLocked counts the neighbouring cells (left, right, above,

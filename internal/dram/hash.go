@@ -40,9 +40,9 @@ func unitFloat(h uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// gaussianPair converts two uniform hashes into one standard-normal sample
-// using the Box–Muller transform. Only the first of the pair is returned;
-// callers that need independent samples must supply independent hashes.
+// gaussianFromHash converts two uniform hashes into one standard-normal
+// sample using the Box–Muller transform; callers that need independent
+// samples must supply independent hashes.
 func gaussianFromHash(h1, h2 uint64) float64 {
 	return boxMuller(unitFloat(h1), unitFloat(h2))
 }

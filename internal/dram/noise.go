@@ -10,18 +10,66 @@ import (
 
 // NoiseSource supplies the per-access analog noise that makes activation
 // failures non-deterministic. In real hardware this is thermal/sense-amplifier
-// noise; here it is an abstraction with two implementations:
+// noise; here it is a stream of raw 64-bit words, with three implementations:
 //
 //   - PhysicalNoise draws from the operating system's entropy pool
 //     (crypto/rand), the closest available stand-in for physical randomness.
 //   - DeterministicNoise is a seeded, reproducible source used by tests and
 //     benchmarks so that experiments are repeatable.
+//   - DeterministicBankNoise is seeded too, with one independent stream per
+//     bank, so a bank's failure outcomes depend only on its own command
+//     order and concurrent multi-bank harvests stay reproducible.
 //
-// Implementations must be safe for concurrent use.
+// A word w stands for the uniform (w>>11)/2⁵³, and two uniforms make one
+// standard-normal sample by Box–Muller. Failure injection decides each cell
+// from the words themselves, drawing exactly the words that Box–Muller
+// samples would consume (see Device.injectFailuresLocked).
+//
+// The interface is sealed: its unexported method hands the device a locked
+// word stream, so only this package's sources implement it. Implementations
+// are safe for concurrent use.
 type NoiseSource interface {
 	// Gaussian returns one sample from a standard normal distribution
 	// (mean 0, standard deviation 1).
 	Gaussian() float64
+
+	// lockWords locks the word stream that serves bank and returns it; the
+	// caller draws words with pair and releases the stream with unlock.
+	lockWords(bank int) wordStream
+}
+
+// wordStream is a noise source's raw word stream, locked from lockWords
+// until unlock.
+type wordStream struct {
+	mu    *sync.Mutex
+	state *uint64        // SplitMix64 state of a seeded source
+	phys  *PhysicalNoise // the OS-entropy buffer, when state is nil
+}
+
+// pair returns the stream's next two 64-bit words: every draw is a pair,
+// the two uniforms of one Box–Muller sample.
+//
+//drange:noalloc
+//drange:holds mu the stream is locked from lockWords until unlock
+func (s wordStream) pair() (uint64, uint64) {
+	if s.state == nil {
+		return s.phys.wordLocked(), s.phys.wordLocked()
+	}
+	var a, b uint64
+	*s.state, a = splitmix64(*s.state)
+	*s.state, b = splitmix64(*s.state)
+	return a, b
+}
+
+func (s wordStream) unlock() { s.mu.Unlock() }
+
+// gaussian draws one standard-normal sample from src's stream for bank,
+// taking both of its words under one lock acquisition.
+func gaussian(src NoiseSource, bank int) float64 {
+	s := src.lockWords(bank)
+	u1, u2 := s.pair()
+	s.unlock()
+	return boxMuller(unitFloat(u1), unitFloat(u2))
 }
 
 // boxMuller converts two independent uniform samples in [0,1) into one
@@ -34,11 +82,13 @@ func boxMuller(u1, u2 float64) float64 {
 }
 
 // PhysicalNoise is a NoiseSource backed by the operating system entropy pool.
-// It buffers entropy to avoid a system call per sample.
+// It buffers entropy to avoid a system call per sample, refilling one
+// buffer in place.
 type PhysicalNoise struct {
 	mu  sync.Mutex
-	buf []byte // drange:guardedby mu
-	off int    // drange:guardedby mu
+	buf [4096]byte // drange:guardedby mu
+	// avail counts the unread bytes at the end of buf.
+	avail int // drange:guardedby mu
 }
 
 // NewPhysicalNoise returns a NoiseSource that draws from crypto/rand.
@@ -46,26 +96,38 @@ func NewPhysicalNoise() *PhysicalNoise {
 	return &PhysicalNoise{}
 }
 
-func (p *PhysicalNoise) uniform() float64 {
+func (p *PhysicalNoise) lockWords(int) wordStream {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.off+8 > len(p.buf) {
-		p.buf = make([]byte, 4096)
-		p.off = 0
-		if _, err := rand.Read(p.buf); err != nil {
-			// crypto/rand failing is unrecoverable for a TRNG; surface it
-			// loudly rather than silently degrade to predictable output.
-			panic(fmt.Sprintf("dram: reading OS entropy failed: %v", err))
-		}
+	return wordStream{mu: &p.mu, phys: p}
+}
+
+// wordLocked returns the next buffered entropy word. Callers hold p.mu.
+//
+//drange:noalloc
+func (p *PhysicalNoise) wordLocked() uint64 {
+	if p.avail < 8 {
+		p.refillLocked()
 	}
-	v := binary.LittleEndian.Uint64(p.buf[p.off:])
-	p.off += 8
-	return float64(v>>11) / float64(1<<53)
+	v := binary.LittleEndian.Uint64(p.buf[len(p.buf)-p.avail:])
+	p.avail -= 8
+	return v
+}
+
+// refillLocked refills buf from the OS entropy pool. Callers hold p.mu.
+//
+//drange:noalloc
+func (p *PhysicalNoise) refillLocked() {
+	if _, err := rand.Read(p.buf[:]); err != nil {
+		// crypto/rand failing is unrecoverable for a TRNG; surface it
+		// loudly rather than silently degrade to predictable output.
+		panic(fmt.Sprintf("dram: reading OS entropy failed: %v", err))
+	}
+	p.avail = len(p.buf)
 }
 
 // Gaussian implements NoiseSource.
 func (p *PhysicalNoise) Gaussian() float64 {
-	return boxMuller(p.uniform(), p.uniform())
+	return gaussian(p, 0)
 }
 
 // DeterministicNoise is a seeded, reproducible NoiseSource based on
@@ -81,37 +143,24 @@ func NewDeterministicNoise(seed uint64) *DeterministicNoise {
 	return &DeterministicNoise{state: seed ^ 0xd1b54a32d192ed03}
 }
 
-func (d *DeterministicNoise) next() uint64 {
+// lockWords hands out the single stream whatever the bank.
+func (d *DeterministicNoise) lockWords(int) wordStream {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out uint64
-	d.state, out = splitmix64(d.state)
-	return out
+	return wordStream{mu: &d.mu, state: &d.state}
 }
 
 // Gaussian implements NoiseSource.
 func (d *DeterministicNoise) Gaussian() float64 {
-	return boxMuller(unitFloat(d.next()), unitFloat(d.next()))
-}
-
-// BankNoiseSource is an optional NoiseSource extension providing one
-// independent noise stream per bank. When a Device's noise source implements
-// it, activation-failure injection draws from the stream of the bank being
-// accessed, so the bit sequence harvested from a bank depends only on that
-// bank's own command order. This models per-bank sense amplifiers having
-// independent analog noise, and it is what makes concurrent multi-bank
-// harvesting reproducible: goroutines driving disjoint banks cannot perturb
-// each other's noise draws no matter how the scheduler interleaves them.
-type BankNoiseSource interface {
-	NoiseSource
-	// GaussianFor returns one standard-normal sample from the stream
-	// dedicated to bank.
-	GaussianFor(bank int) float64
+	return gaussian(d, 0)
 }
 
 // DeterministicBankNoise is a seeded NoiseSource with an independent
-// reproducible SplitMix64 stream per bank. Like DeterministicNoise it is for
-// tests, characterization and benchmarks only — never for generating keys.
+// reproducible SplitMix64 stream per bank. It models per-bank sense
+// amplifiers with independent analog noise: failure injection draws from the
+// stream of the bank being accessed, so goroutines driving disjoint banks
+// cannot perturb each other's draws however the scheduler interleaves them.
+// Like DeterministicNoise it is for tests, characterization and benchmarks
+// only — never for generating keys.
 type DeterministicBankNoise struct {
 	mu   sync.Mutex
 	seed uint64
@@ -150,26 +199,17 @@ func (d *DeterministicBankNoise) stateLocked(bank int) *uint64 {
 	return &d.streams[slot]
 }
 
-func (d *DeterministicBankNoise) nextFor(bank int) uint64 {
+// lockWords hands out bank's own stream. The slot pointer stays valid while
+// the lock is held: only stateLocked grows streams.
+func (d *DeterministicBankNoise) lockWords(bank int) wordStream {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	state := d.stateLocked(bank)
-	var out uint64
-	*state, out = splitmix64(*state)
-	return out
+	return wordStream{mu: &d.mu, state: d.stateLocked(bank)}
 }
 
-// GaussianFor implements BankNoiseSource. Both uniform draws come from the
-// bank's stream under one lock acquisition, in the same order as two nextFor
-// calls — the sample sequence is unchanged.
+// GaussianFor returns one standard-normal sample from the stream dedicated
+// to bank.
 func (d *DeterministicBankNoise) GaussianFor(bank int) float64 {
-	d.mu.Lock()
-	state := d.stateLocked(bank)
-	var u1, u2 uint64
-	*state, u1 = splitmix64(*state)
-	*state, u2 = splitmix64(*state)
-	d.mu.Unlock()
-	return boxMuller(unitFloat(u1), unitFloat(u2))
+	return gaussian(d, bank)
 }
 
 // Gaussian implements NoiseSource; draws not attributable to a bank (e.g. the
@@ -179,7 +219,7 @@ func (d *DeterministicBankNoise) Gaussian() float64 {
 }
 
 var (
-	_ NoiseSource     = (*PhysicalNoise)(nil)
-	_ NoiseSource     = (*DeterministicNoise)(nil)
-	_ BankNoiseSource = (*DeterministicBankNoise)(nil)
+	_ NoiseSource = (*PhysicalNoise)(nil)
+	_ NoiseSource = (*DeterministicNoise)(nil)
+	_ NoiseSource = (*DeterministicBankNoise)(nil)
 )
