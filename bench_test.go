@@ -480,7 +480,7 @@ func BenchmarkAblationPostprocessing(b *testing.B) {
 // shard is an independent channel/rank controller over a disjoint subset of
 // the selected banks, so the aggregate rate reproduces the paper's claim
 // that D-RaNGe throughput scales with the number of banks and channels
-// sampled in parallel: at 4 shards the engine sustains well over twice the
+// sampled in parallel: at 4 shards the engine sustains over twice the
 // single-shard TRNG rate (the enforced regression lives in
 // internal/core/engine_test.go).
 func BenchmarkEngineShardScaling(b *testing.B) {

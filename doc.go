@@ -25,15 +25,17 @@
 //   - internal/memctrl — the cycle-accurate memory controller: programmable
 //     tRCD, per-bank state machines, tRRD/tFAW, bus occupancy, refresh.
 //   - internal/core — D-RaNGe itself: RNG-cell identification (Section
-//     6.1), bank-word selection (Section 6.2), the single-shard TRNG
-//     (Algorithm 2) and the sharded Engine that composes one TRNG per
-//     simulated channel/rank for multi-bank parallel harvesting.
+//     6.1), bank-word selection (Section 6.2), the single-shard TRNG (the
+//     one Algorithm 2 loop, which serves every Source and which the
+//     Figure 8, latency and energy estimators time) and the sharded Engine
+//     that composes one TRNG per simulated channel/rank.
 //   - internal/health — the SP 800-90B style online health tests
 //     (Repetition Count Test, Adaptive Proportion Test, windowed bias
 //     monitor, startup self-test) that guard every Source's hot path.
 //   - internal/sim, internal/power, internal/nist, internal/baselines —
-//     the evaluation: loop timing, DRAMPower-style energy, the NIST
-//     SP 800-22 suite, and the prior-work TRNG baselines of Table 2.
+//     the evaluation: workload replay for the idle-bandwidth study,
+//     DRAMPower-style energy, the NIST SP 800-22 suite, and the prior-work
+//     TRNG baselines of Table 2.
 //
 // # Device backends
 //
@@ -113,17 +115,19 @@
 //
 // # TRNG versus Engine
 //
-// core.TRNG is the single-shard core: one memory controller walking its
+// core.TRNG is the single-shard core: one memory controller sampling its
 // selected banks, buffering harvested bits in a packed 64-bit word queue.
+// It issues each half-iteration of Algorithm 2 in bank phases — every ACT,
+// then every reduced-tRCD read, then every restoring write — so the banks'
+// activations overlap on the one channel. The estimators time this same
+// loop, so one TRNG serves at the rate Figure 8 reports for its banks.
 // core.Engine partitions the bank selections across several controllers —
 // one simulated channel/rank per shard — and runs one TRNG per shard on its
 // own harvesting goroutine into bounded per-shard rings of packed words,
 // drained round-robin by a thread-safe io.Reader facade. Every drange Source
 // is engine-backed; a 1-shard engine serves exactly the byte stream of one
 // TRNG over the same selections. The per-shard throughput/latency accounting
-// (Source.Stats) reproduces the paper's claim that D-RaNGe throughput scales
-// with the number of banks and channels sampled in parallel (Figure 8,
-// Table 2).
+// (Source.Stats) reports each shard's rate in simulated DRAM time.
 //
 // # The packed serving path
 //

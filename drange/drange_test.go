@@ -554,6 +554,39 @@ func TestEstimatesRunOnTwin(t *testing.T) {
 	}
 }
 
+// TestServedRateMatchesFigure8 checks that a Source serves at the rate the
+// Figure 8 estimator reports for its banks: both run the same Algorithm 2
+// loop, which overlaps the banks' activations on the one controller, so an
+// iteration over every bank takes well under the sum of one-bank
+// iterations.
+func TestServedRateMatchesFigure8(t *testing.T) {
+	src := openQuick(t)
+	if _, err := src.Read(make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	g := src.(*Generator)
+	est, err := g.EstimateThroughput(g.Banks(), 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := g.EstimateThroughput(1, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Banks() < 4 || est.NSPerIteration >= 2*one.NSPerIteration {
+		t.Errorf("an iteration over %d banks takes %.1f ns against %.1f ns for one bank: want activations overlapped across at least 4 banks (under 2x)", g.Banks(), est.NSPerIteration, one.NSPerIteration)
+	}
+	st := src.Stats()
+	if len(st.Shards) != 1 {
+		t.Fatalf("default Source runs %d shards, want 1", len(st.Shards))
+	}
+	served := st.AggregateThroughputMbps
+	t.Logf("served %.2f simulated Mb/s, Figure 8 estimate %.2f Mb/s", served, est.ThroughputMbps)
+	if math.Abs(served-est.ThroughputMbps) > 0.005*est.ThroughputMbps {
+		t.Errorf("1-shard Source serves %.2f simulated Mb/s, Figure 8 estimate %.2f Mb/s: want within 0.5%%", served, est.ThroughputMbps)
+	}
+}
+
 func TestPostprocessChain(t *testing.T) {
 	raw := openQuick(t)
 	vn := openQuick(t, WithPostprocess(VonNeumann()))

@@ -95,8 +95,11 @@ var requiredNoalloc = []struct {
 	{"internal/drbg/chacha.go", "chachaBlock"},
 	{"internal/core/engine.go", "ReadPacked"},
 	{"internal/core/trng.go", "ReadPacked"},
+	{"internal/core/trng.go", "harvest"},
 	{"internal/core/bitbuf.go", "PopPacked"},
+	{"internal/memctrl/controller.go", "ActivateRow"},
 	{"internal/memctrl/controller.go", "ReadWordInto"},
+	{"internal/memctrl/controller.go", "WriteWord"},
 	{"internal/dram/device.go", "ReadWordInto"},
 	{"internal/dram/device.go", "injectFailuresLocked"},
 	{"internal/dram/noise.go", "pair"},

@@ -17,16 +17,14 @@ type bitBuffer struct {
 // Len returns the number of buffered (unconsumed) bits.
 func (b *bitBuffer) Len() int { return b.tail - b.head }
 
-// Append adds one bit (0 or 1) at the tail.
+// Append adds one bit (0 or 1) at the tail. The update is branchless: the
+// bits are random, so a branch on the bit's value mispredicts half the time.
 func (b *bitBuffer) Append(bit byte) {
 	if b.tail == len(b.words)*64 {
 		b.words = append(b.words, 0)
 	}
-	if bit != 0 {
-		b.words[b.tail>>6] |= 1 << uint(b.tail&63)
-	} else {
-		b.words[b.tail>>6] &^= 1 << uint(b.tail&63)
-	}
+	w, s := b.tail>>6, uint(b.tail&63)
+	b.words[w] = b.words[w]&^(1<<s) | uint64(bit&1)<<s
 	b.tail++
 }
 

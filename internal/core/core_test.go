@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/dram"
@@ -30,11 +32,16 @@ func testProfile() dram.Profile {
 
 func newController(t *testing.T, seed uint64, opts ...memctrl.Option) *memctrl.Controller {
 	t.Helper()
+	return newControllerWithGeometry(t, seed, testGeometry(), opts...)
+}
+
+func newControllerWithGeometry(t *testing.T, seed uint64, g dram.Geometry, opts ...memctrl.Option) *memctrl.Controller {
+	t.Helper()
 	prof := testProfile()
 	dev, err := dram.NewDevice(dram.Config{
 		Serial:   seed,
 		Profile:  &prof,
-		Geometry: testGeometry(),
+		Geometry: g,
 		Noise:    dram.NewDeterministicNoise(seed),
 	})
 	if err != nil {
@@ -181,10 +188,6 @@ func TestGroupByWordAndSelection(t *testing.T) {
 		if len(s.Word1.RNGCells) < len(s.Word2.RNGCells) {
 			t.Errorf("bank %d: word1 should be the denser word", s.Bank)
 		}
-		sw := s.ToSimWords()
-		if sw.Bits != s.Bits() || sw.Bank != s.Bank {
-			t.Errorf("ToSimWords mismatch: %+v vs %+v", sw, s)
-		}
 	}
 	// Selections must be sorted by descending data rate.
 	for i := 1; i < len(sels); i++ {
@@ -315,10 +318,13 @@ func TestTRNGReadBitsAndUint64(t *testing.T) {
 
 func TestTRNGRestoresDataPattern(t *testing.T) {
 	ctrl := newController(t, 107)
-	cells := identifyForTest(t, ctrl, 1)
+	cells := identifyForTest(t, ctrl, 4)
 	sels, err := SelectBankWords(cells)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(sels) < 2 {
+		t.Fatalf("test device yielded %d bank selections, need at least 2", len(sels))
 	}
 	cfg := DefaultTRNGConfig("A")
 	trng, err := NewTRNG(ctrl, sels, cfg)
@@ -332,21 +338,52 @@ func TestTRNGRestoresDataPattern(t *testing.T) {
 	// (Algorithm 2 restores the original value after every sample).
 	g := ctrl.Device().Geometry()
 	nw := g.WordBits / 64
-	s := sels[0]
-	for _, w := range []WordRef{s.Word1, s.Word2} {
-		raw, err := ctrl.Device().ReadRowRaw(s.Bank, w.Row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		expected, err := cfg.Pattern.FillRow(w.Row, g.ColsPerRow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 0; u < nw; u++ {
-			if raw[w.WordIdx*nw+u] != expected[w.WordIdx*nw+u] {
-				t.Errorf("bank %d row %d word %d not restored after generation", s.Bank, w.Row, w.WordIdx)
+	for _, s := range sels {
+		for _, w := range []WordRef{s.Word1, s.Word2} {
+			raw, err := ctrl.Device().ReadRowRaw(s.Bank, w.Row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expected, err := cfg.Pattern.FillRow(w.Row, g.ColsPerRow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := 0; u < nw; u++ {
+				if raw[w.WordIdx*nw+u] != expected[w.WordIdx*nw+u] {
+					t.Errorf("bank %d row %d word %d not restored after generation", s.Bank, w.Row, w.WordIdx)
+				}
 			}
 		}
+	}
+}
+
+// TestTRNGSimulatedClockPinned pins the simulated time of a fixed read. The
+// TRNG issues each half-iteration in bank phases, so the banks' activations
+// overlap; a bank-serial issue order takes about twice the cycles for the
+// same bits. The bytes are pinned too: each bank draws its own noise stream
+// and sees its own commands in the same order either way.
+func TestTRNGSimulatedClockPinned(t *testing.T) {
+	dev, sels := engineSetup(t, 213, dram.NewDeterministicBankNoise(213), 4)
+	if len(sels) < 4 {
+		t.Fatalf("test device yielded %d bank selections, need 4", len(sels))
+	}
+	ctrl := memctrl.NewController(dev)
+	trng, err := NewTRNG(ctrl, sels, DefaultTRNGConfig("A"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1024)
+	if err := trng.ReadPacked(buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf)
+	const wantCycles, wantBits = 57946, 8208
+	const wantDigest = "4c227733035251ccbe5f41f072c7b5290eb673b3bc6430792fd45d9958e1f0a1"
+	if ctrl.Now() != wantCycles || trng.BitsGenerated() != wantBits {
+		t.Errorf("after a 1 KiB read: clock %d cycles, %d bits; want %d cycles, %d bits", ctrl.Now(), trng.BitsGenerated(), wantCycles, wantBits)
+	}
+	if got := hex.EncodeToString(sum[:]); got != wantDigest {
+		t.Errorf("1 KiB read digest %s, want %s", got, wantDigest)
 	}
 }
 
@@ -368,11 +405,6 @@ func TestNewTRNGValidation(t *testing.T) {
 	if _, err := NewTRNG(ctrl, sels, bad); err == nil {
 		t.Error("tRCD above default accepted")
 	}
-	bad = DefaultTRNGConfig("A")
-	bad.MaxBanks = -1
-	if _, err := NewTRNG(ctrl, sels, bad); err == nil {
-		t.Error("negative MaxBanks accepted")
-	}
 	sameRow := []BankSelection{{
 		Bank:  0,
 		Word1: WordRef{Bank: 0, Row: 3, WordIdx: 0, RNGCells: []RNGCell{{Addr: profiler.CellAddr{Bank: 0, Row: 3, Col: 1}}}},
@@ -380,27 +412,6 @@ func TestNewTRNGValidation(t *testing.T) {
 	}}
 	if _, err := NewTRNG(ctrl, sameRow, DefaultTRNGConfig("A")); err == nil {
 		t.Error("single-row selection accepted")
-	}
-}
-
-func TestTRNGMaxBanksLimit(t *testing.T) {
-	ctrl := newController(t, 109)
-	cells := identifyForTest(t, ctrl, 3)
-	sels, err := SelectBankWords(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sels) < 2 {
-		t.Skip("need at least two banks with RNG cells for this test")
-	}
-	cfg := DefaultTRNGConfig("A")
-	cfg.MaxBanks = 1
-	trng, err := NewTRNG(ctrl, sels, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trng.Banks() != 1 {
-		t.Errorf("Banks = %d, want 1 with MaxBanks=1", trng.Banks())
 	}
 }
 

@@ -22,8 +22,7 @@ type EngineConfig struct {
 	// 0 selects min(4, len(selections)); values above len(selections) are
 	// clamped (a shard needs at least one bank).
 	Shards int
-	// TRNG holds the per-shard generation parameters. MaxBanks is ignored:
-	// the engine's partitioning decides which banks each shard samples.
+	// TRNG holds the per-shard generation parameters.
 	TRNG TRNGConfig
 	// BufferWords is the per-shard capacity of the bounded ring of packed
 	// 64-bit words between each shard and the readers; 0 selects 32 (2 KiB
@@ -49,7 +48,6 @@ func (c EngineConfig) withDefaults(nSel int) EngineConfig {
 	if c.BatchBits == 0 {
 		c.BatchBits = 256
 	}
-	c.TRNG.MaxBanks = 0
 	return c
 }
 

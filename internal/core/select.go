@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/profiler"
-	"repro/internal/sim"
 )
 
 // WordRef identifies one DRAM word and the RNG cells it contains.
@@ -30,19 +29,6 @@ type BankSelection struct {
 // bank's TRNG data rate per loop iteration.
 func (s BankSelection) Bits() int {
 	return len(s.Word1.RNGCells) + len(s.Word2.RNGCells)
-}
-
-// ToSimWords converts the selection into the representation the cycle
-// simulator consumes.
-func (s BankSelection) ToSimWords() sim.BankWords {
-	return sim.BankWords{
-		Bank:  s.Bank,
-		Row1:  s.Word1.Row,
-		Word1: s.Word1.WordIdx,
-		Row2:  s.Word2.Row,
-		Word2: s.Word2.WordIdx,
-		Bits:  s.Bits(),
-	}
 }
 
 // GroupByWord groups RNG cells into the DRAM words containing them.

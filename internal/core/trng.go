@@ -17,10 +17,6 @@ type TRNGConfig struct {
 	// Pattern is the data pattern maintained in the selected words and
 	// their neighbours (line 4 of Algorithm 2).
 	Pattern pattern.Pattern
-	// MaxBanks limits how many banks are sampled in parallel; 0 means all
-	// selected banks. Fewer banks reduce system interference at the cost of
-	// throughput (Section 7.3).
-	MaxBanks int
 }
 
 // DefaultTRNGConfig returns the generation parameters used in the
@@ -31,11 +27,12 @@ func DefaultTRNGConfig(manufacturer string) TRNGConfig {
 
 // TRNG is the D-RaNGe true random number generator: it continuously samples
 // previously-identified RNG cells by inducing activation failures, and
-// exposes the harvested bits as an io.Reader. It is the single-shard
-// harvesting core: one TRNG drives one controller (one simulated
-// channel/rank) over its subset of banks. Engine composes several of them
-// for the paper's multi-bank/multi-channel parallelism. A TRNG is not safe
-// for concurrent use; Engine provides the thread-safe facade.
+// exposes the harvested bits as an io.Reader. It runs the repository's one
+// Algorithm 2 core loop: one TRNG drives one controller (one simulated
+// channel/rank) over its banks and overlaps their activations, so the rate
+// it serves is the Figure 8 rate the estimators report. Engine composes
+// several of them. A TRNG is not safe for concurrent use; Engine provides
+// the thread-safe facade.
 type TRNG struct {
 	ctrl *memctrl.Controller
 	cfg  TRNGConfig
@@ -45,18 +42,14 @@ type TRNG struct {
 	// bits holds harvested bits, packed 64 per word, not yet consumed.
 	bits bitBuffer
 
-	// scratch is the reusable destination of sampleWord's device reads, so
-	// the steady-state harvest loop performs no allocations.
-	scratch []uint64
-
 	bitsGenerated int64
 }
 
-// trngBank is the runtime state for one selected bank.
+// trngBank is the runtime state for one selected bank: its two words, word 1
+// first.
 type trngBank struct {
 	bank  int
-	word1 trngWord
-	word2 trngWord
+	words [2]trngWord
 }
 
 type trngWord struct {
@@ -64,44 +57,24 @@ type trngWord struct {
 	wordIdx int
 	// cols are the bit positions of the RNG cells within the word.
 	cols []int
-	// original is the word's data-pattern content, restored after every
-	// sample.
+	// original is the word's content when the generator was prepared,
+	// restored after every sample.
 	original []uint64
+	// got receives the word's reduced-latency read; it is sized by the
+	// constructor so the harvest loop never allocates.
+	got []uint64
 }
 
 // NewTRNG prepares a D-RaNGe generator over the given bank selections
 // (lines 2–6 of Algorithm 2): it writes the data pattern to the chosen DRAM
-// words and their neighbouring rows, captures the restore values, and
-// retains the per-word RNG-cell positions.
+// words and their neighbouring rows, then captures the restore values and
+// the per-word RNG-cell positions.
 func NewTRNG(ctrl *memctrl.Controller, selections []BankSelection, cfg TRNGConfig) (*TRNG, error) {
 	if ctrl == nil {
 		return nil, fmt.Errorf("core: nil controller")
 	}
-	if len(selections) == 0 {
-		return nil, fmt.Errorf("core: no bank selections")
-	}
-	if cfg.TRCDNS <= 0 || cfg.TRCDNS > ctrl.Params().TRCD {
-		return nil, fmt.Errorf("core: generation tRCD %v ns outside (0, %v]", cfg.TRCDNS, ctrl.Params().TRCD)
-	}
-	if cfg.MaxBanks < 0 {
-		return nil, fmt.Errorf("core: negative MaxBanks")
-	}
-	sels := selections
-	if cfg.MaxBanks > 0 && cfg.MaxBanks < len(sels) {
-		sels = sels[:cfg.MaxBanks]
-	}
-
 	g := ctrl.Device().Geometry()
-	// The sampling scratch buffer is sized here, not lazily in sampleWord,
-	// so the steady-state sampling path never allocates.
-	t := &TRNG{ctrl: ctrl, cfg: cfg, scratch: make([]uint64, g.WordBits/64)}
-	for _, s := range sels {
-		if s.Bits() == 0 {
-			return nil, fmt.Errorf("core: bank %d selection has no RNG cells", s.Bank)
-		}
-		if s.Word1.Row == s.Word2.Row {
-			return nil, fmt.Errorf("core: bank %d selection uses a single row %d", s.Bank, s.Word1.Row)
-		}
+	for _, s := range selections {
 		// Line 4: write the data pattern to the chosen DRAM words and their
 		// neighbouring cells (we write the full rows and the adjacent rows).
 		for _, w := range []WordRef{s.Word1, s.Word2} {
@@ -118,15 +91,34 @@ func NewTRNG(ctrl *memctrl.Controller, selections []BankSelection, cfg TRNGConfi
 				}
 			}
 		}
-		tb := trngBank{bank: s.Bank}
-		var err error
-		tb.word1, err = t.prepareWord(s.Bank, s.Word1)
-		if err != nil {
-			return nil, err
+	}
+	return newTRNG(ctrl, selections, cfg)
+}
+
+// newTRNG prepares a generator over the selections without writing any
+// data pattern: each word's current content becomes its restore value. The
+// estimators use it directly, since their timing does not depend on data.
+func newTRNG(ctrl *memctrl.Controller, selections []BankSelection, cfg TRNGConfig) (*TRNG, error) {
+	if len(selections) == 0 {
+		return nil, fmt.Errorf("core: no bank selections")
+	}
+	if cfg.TRCDNS <= 0 || cfg.TRCDNS > ctrl.Params().TRCD {
+		return nil, fmt.Errorf("core: generation tRCD %v ns outside (0, %v]", cfg.TRCDNS, ctrl.Params().TRCD)
+	}
+	t := &TRNG{ctrl: ctrl, cfg: cfg}
+	for _, s := range selections {
+		if s.Bits() == 0 {
+			return nil, fmt.Errorf("core: bank %d selection has no RNG cells", s.Bank)
 		}
-		tb.word2, err = t.prepareWord(s.Bank, s.Word2)
-		if err != nil {
-			return nil, err
+		if s.Word1.Row == s.Word2.Row {
+			return nil, fmt.Errorf("core: bank %d selection uses a single row %d", s.Bank, s.Word1.Row)
+		}
+		tb := trngBank{bank: s.Bank}
+		for i, w := range []WordRef{s.Word1, s.Word2} {
+			var err error
+			if tb.words[i], err = t.prepareWord(s.Bank, w); err != nil {
+				return nil, err
+			}
 		}
 		t.sels = append(t.sels, tb)
 	}
@@ -147,6 +139,7 @@ func (t *TRNG) prepareWord(bank int, w WordRef) (trngWord, error) {
 		row:      w.Row,
 		wordIdx:  w.WordIdx,
 		original: append([]uint64(nil), rowData[w.WordIdx*nw:(w.WordIdx+1)*nw]...),
+		got:      make([]uint64, nw),
 	}
 	for _, addr := range addrSetForSelection(w) {
 		if addr.Bank != bank {
@@ -170,7 +163,7 @@ func (t *TRNG) Banks() int { return len(t.sels) }
 func (t *TRNG) BitsPerIteration() int {
 	n := 0
 	for _, s := range t.sels {
-		n += len(s.word1.cols) + len(s.word2.cols)
+		n += len(s.words[0].cols) + len(s.words[1].cols)
 	}
 	return n
 }
@@ -178,39 +171,47 @@ func (t *TRNG) BitsPerIteration() int {
 // BitsGenerated returns the total number of random bits harvested so far.
 func (t *TRNG) BitsGenerated() int64 { return t.bitsGenerated }
 
-// sampleWord performs one reduced-latency read of a selected word, appends
-// the RNG-cell values to the bit queue, and restores the word's original
-// content (lines 8–11 / 12–15 of Algorithm 2).
-func (t *TRNG) sampleWord(bank int, w *trngWord) error {
-	got := t.scratch
-	if _, err := t.ctrl.ReadWordInto(bank, w.row, w.wordIdx, got); err != nil {
-		return err
-	}
-	for _, col := range w.cols {
-		bit := byte((got[col/64] >> uint(col%64)) & 1)
-		t.bits.Append(bit)
-		t.bitsGenerated++
-	}
-	if _, err := t.ctrl.WriteWord(bank, w.row, w.wordIdx, w.original); err != nil {
-		return err
-	}
-	return nil
-}
-
 // harvest runs Algorithm 2's core loop until at least n bits are queued.
+// Each iteration samples word 1 of every bank (lines 8–11), then word 2
+// (lines 12–15), and issues each half in phases across the banks: every
+// ACT, then every reduced-latency RD, then every restoring WR, so the banks'
+// activation latencies overlap (the bank-level parallelism behind Figure 8).
+// Each bank still sees its own commands in the order ACT, RD, WR. The bits
+// are queued bank by bank, word 1 before word 2.
+//
+//drange:noalloc
 func (t *TRNG) harvest(n int) error {
 	if err := t.ctrl.SetReducedTRCD(t.cfg.TRCDNS); err != nil {
 		return err
 	}
 	defer t.ctrl.ResetTRCD()
 	for t.bits.Len() < n {
-		for i := range t.sels {
-			s := &t.sels[i]
-			if err := t.sampleWord(s.bank, &s.word1); err != nil {
-				return err
+		for half := 0; half < 2; half++ {
+			for i := range t.sels {
+				if err := t.ctrl.ActivateRow(t.sels[i].bank, t.sels[i].words[half].row); err != nil {
+					return err
+				}
 			}
-			if err := t.sampleWord(s.bank, &s.word2); err != nil {
-				return err
+			for i := range t.sels {
+				w := &t.sels[i].words[half]
+				if _, err := t.ctrl.ReadWordInto(t.sels[i].bank, w.row, w.wordIdx, w.got); err != nil {
+					return err
+				}
+			}
+			for i := range t.sels {
+				w := &t.sels[i].words[half]
+				if _, err := t.ctrl.WriteWord(t.sels[i].bank, w.row, w.wordIdx, w.original); err != nil {
+					return err
+				}
+			}
+		}
+		for i := range t.sels {
+			for half := range t.sels[i].words {
+				w := &t.sels[i].words[half]
+				for _, col := range w.cols {
+					t.bits.Append(byte((w.got[col/64] >> uint(col%64)) & 1))
+				}
+				t.bitsGenerated += int64(len(w.cols))
 			}
 		}
 	}

@@ -53,6 +53,9 @@ type Controller struct {
 	// conversions copy the parameter struct per call — too costly per
 	// sampled word).
 	cTRRD, cTFAW, cBurst, cTCWL int64
+	// rowsPerBank is cached from the device geometry, which is fetched
+	// through the device interface.
+	rowsPerBank int
 
 	// reducedTRCDNS is the programmed activation latency override in
 	// nanoseconds; 0 means the JEDEC default applies.
@@ -80,16 +83,17 @@ type Controller struct {
 // NewController builds a controller for dev. Any device.Device works — the
 // built-in simulator, a replayed operation log, or a fault-injecting wrapper.
 func NewController(dev device.Device, opts ...Option) *Controller {
-	p := dev.Timing()
+	p, g := dev.Timing(), dev.Geometry()
 	c := &Controller{
-		dev:     dev,
-		params:  p,
-		cTRRD:   p.Cycles(p.TRRD),
-		cTFAW:   p.Cycles(p.TFAW),
-		cBurst:  p.BurstCycles(),
-		cTCWL:   p.Cycles(p.TCWL),
-		banks:   make([]*timing.BankFSM, dev.Geometry().Banks),
-		lastACT: -1 << 60,
+		dev:         dev,
+		params:      p,
+		cTRRD:       p.Cycles(p.TRRD),
+		cTFAW:       p.Cycles(p.TFAW),
+		cBurst:      p.BurstCycles(),
+		cTCWL:       p.Cycles(p.TCWL),
+		rowsPerBank: g.RowsPerBank,
+		banks:       make([]*timing.BankFSM, g.Banks),
+		lastACT:     -1 << 60,
 	}
 	for i := range c.banks {
 		c.banks[i] = timing.NewBankFSM(p)
@@ -317,13 +321,14 @@ func (c *Controller) openRowFor(bank, row int) error {
 // first. Issuing the activations for several banks before their column
 // commands lets the controller overlap the activation latencies across
 // banks, which is how Algorithm 2 exploits bank-level parallelism.
+//
+//drange:noalloc
 func (c *Controller) ActivateRow(bank, row int) error {
 	if err := c.checkBank(bank); err != nil {
 		return err
 	}
-	g := c.dev.Geometry()
-	if row < 0 || row >= g.RowsPerBank {
-		return fmt.Errorf("memctrl: row %d out of range [0,%d)", row, g.RowsPerBank)
+	if row < 0 || row >= c.rowsPerBank {
+		return fmt.Errorf("memctrl: row %d out of range [0,%d)", row, c.rowsPerBank)
 	}
 	return c.openRowFor(bank, row)
 }
@@ -399,6 +404,8 @@ func readWordInto(dev device.Device, bank, wordIdx int, dst []uint64) error {
 
 // WriteWord writes the DRAM word at (bank, row, wordIdx). It returns the
 // cycle at which write recovery completes.
+//
+//drange:noalloc
 func (c *Controller) WriteWord(bank, row, wordIdx int, word []uint64) (int64, error) {
 	if err := c.checkBank(bank); err != nil {
 		return 0, err

@@ -1,9 +1,8 @@
-// Package sim provides the cycle-level measurements the paper's evaluation
-// needs on top of the memory-controller model: the runtime of the core loop
-// of Algorithm 2 for a given number of banks (Figure 8), the latency to
-// produce a 64-bit random value (Section 7.3), and the replay of workload
-// traces to quantify the idle DRAM bandwidth available for random-number
-// generation without slowing applications down.
+// Package sim provides the workload measurements of the paper's idle
+// bandwidth study (Section 7.3): the replay of workload traces through the
+// memory controller, and the TRNG throughput left over in the idle DRAM
+// cycles they leave. The Algorithm 2 timing behind Figure 8 and the 64-bit
+// latency comes from core's estimators, which run the served TRNG loop.
 package sim
 
 import (
@@ -12,187 +11,6 @@ import (
 	"repro/internal/memctrl"
 	"repro/internal/workload"
 )
-
-// BankWords identifies the two DRAM words (in distinct rows of one bank)
-// that Algorithm 2 alternates between so that every read immediately follows
-// an activation, together with the number of RNG cells ("bits") the pair
-// yields per iteration.
-type BankWords struct {
-	Bank  int
-	Row1  int
-	Word1 int
-	Row2  int
-	Word2 int
-	// Bits is the number of RNG cells across the two words: the TRNG data
-	// rate of this bank per loop iteration.
-	Bits int
-}
-
-// Validate reports an error for an unusable selection.
-func (b BankWords) Validate() error {
-	if b.Bank < 0 {
-		return fmt.Errorf("sim: negative bank %d", b.Bank)
-	}
-	if b.Row1 == b.Row2 {
-		return fmt.Errorf("sim: the two DRAM words must be in distinct rows (both %d)", b.Row1)
-	}
-	if b.Row1 < 0 || b.Row2 < 0 || b.Word1 < 0 || b.Word2 < 0 {
-		return fmt.Errorf("sim: negative row or word index")
-	}
-	if b.Bits < 0 {
-		return fmt.Errorf("sim: negative bit count")
-	}
-	return nil
-}
-
-// LoopResult is the measured timing of the Algorithm 2 core loop.
-type LoopResult struct {
-	Banks             int
-	Iterations        int
-	TotalCycles       int64
-	TotalNS           float64
-	NSPerIteration    float64
-	BitsPerIteration  int
-	ThroughputMbps    float64
-	ReadsPerIteration int
-}
-
-// MeasureAlg2Loop executes the core loop of Algorithm 2 (lines 7–15 of the
-// paper) on the controller for the selected bank words, with the reduced
-// activation latency trcdNS, for the given number of iterations, and
-// measures its runtime. Each iteration reads and restores both DRAM words of
-// every selected bank. The controller's timing registers are restored on
-// return.
-func MeasureAlg2Loop(ctrl *memctrl.Controller, words []BankWords, trcdNS float64, iterations int) (LoopResult, error) {
-	if len(words) == 0 {
-		return LoopResult{}, fmt.Errorf("sim: no bank words selected")
-	}
-	if iterations <= 0 {
-		return LoopResult{}, fmt.Errorf("sim: iterations must be positive, got %d", iterations)
-	}
-	geom := ctrl.Device().Geometry()
-	bits := 0
-	for _, w := range words {
-		if err := w.Validate(); err != nil {
-			return LoopResult{}, err
-		}
-		if w.Bank >= geom.Banks || w.Row1 >= geom.RowsPerBank || w.Row2 >= geom.RowsPerBank ||
-			w.Word1 >= geom.WordsPerRow() || w.Word2 >= geom.WordsPerRow() {
-			return LoopResult{}, fmt.Errorf("sim: bank words %+v outside device geometry", w)
-		}
-		bits += w.Bits
-	}
-
-	// Capture the original content of each selected word so every iteration
-	// can restore it, as Algorithm 2 requires (lines 10 and 14).
-	type restore struct{ w1, w2 []uint64 }
-	originals := make([]restore, len(words))
-	nw := geom.WordBits / 64
-	for i, w := range words {
-		r1, err := ctrl.Device().ReadRowRaw(w.Bank, w.Row1)
-		if err != nil {
-			return LoopResult{}, err
-		}
-		r2, err := ctrl.Device().ReadRowRaw(w.Bank, w.Row2)
-		if err != nil {
-			return LoopResult{}, err
-		}
-		originals[i] = restore{
-			w1: append([]uint64(nil), r1[w.Word1*nw:(w.Word1+1)*nw]...),
-			w2: append([]uint64(nil), r2[w.Word2*nw:(w.Word2+1)*nw]...),
-		}
-	}
-
-	if err := ctrl.SetReducedTRCD(trcdNS); err != nil {
-		return LoopResult{}, err
-	}
-	defer ctrl.ResetTRCD()
-
-	start := ctrl.Now()
-	// Each half-iteration is issued in phases across all banks (activate
-	// everything, then read everything, then restore everything) so the
-	// activation latencies of different banks overlap — the bank-level
-	// parallelism Algorithm 2 is designed around, and what a cycle-accurate
-	// DRAM simulator observes for its command stream.
-	half := func(pickRow func(BankWords) (int, int), pickOrig func(int) []uint64) error {
-		for _, w := range words {
-			row, _ := pickRow(w)
-			if err := ctrl.ActivateRow(w.Bank, row); err != nil {
-				return err
-			}
-		}
-		for _, w := range words {
-			row, word := pickRow(w)
-			if _, _, err := ctrl.ReadWord(w.Bank, row, word); err != nil {
-				return err
-			}
-		}
-		for i, w := range words {
-			row, word := pickRow(w)
-			if _, err := ctrl.WriteWord(w.Bank, row, word, pickOrig(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for it := 0; it < iterations; it++ {
-		// First DRAM word of every bank, then the second word in the other
-		// row: the row conflict forces a precharge and fresh activation, so
-		// every read immediately follows an activation.
-		if err := half(func(w BankWords) (int, int) { return w.Row1, w.Word1 },
-			func(i int) []uint64 { return originals[i].w1 }); err != nil {
-			return LoopResult{}, err
-		}
-		if err := half(func(w BankWords) (int, int) { return w.Row2, w.Word2 },
-			func(i int) []uint64 { return originals[i].w2 }); err != nil {
-			return LoopResult{}, err
-		}
-	}
-	end := ctrl.SyncAllBanks()
-
-	p := ctrl.Params()
-	totalCycles := end - start
-	totalNS := p.NS(totalCycles)
-	perIterNS := totalNS / float64(iterations)
-	res := LoopResult{
-		Banks:             len(words),
-		Iterations:        iterations,
-		TotalCycles:       totalCycles,
-		TotalNS:           totalNS,
-		NSPerIteration:    perIterNS,
-		BitsPerIteration:  bits,
-		ReadsPerIteration: 2 * len(words),
-	}
-	if perIterNS > 0 {
-		// bits per ns × 1000 = Mb/s.
-		res.ThroughputMbps = float64(bits) / perIterNS * 1000.0
-	}
-	return res, nil
-}
-
-// SimulateLatency measures the time, in nanoseconds, the controller needs to
-// harvest at least targetBits random bits using Algorithm 2 over the
-// selected bank words with the reduced activation latency trcdNS. Bank words
-// with zero bits contribute accesses but no output, matching the paper's
-// worst-case latency analysis.
-func SimulateLatency(ctrl *memctrl.Controller, words []BankWords, trcdNS float64, targetBits int) (float64, error) {
-	if targetBits <= 0 {
-		return 0, fmt.Errorf("sim: target bits must be positive, got %d", targetBits)
-	}
-	bitsPerIter := 0
-	for _, w := range words {
-		bitsPerIter += w.Bits
-	}
-	if bitsPerIter == 0 {
-		return 0, fmt.Errorf("sim: selected words provide no RNG cells")
-	}
-	iterations := (targetBits + bitsPerIter - 1) / bitsPerIter
-	res, err := MeasureAlg2Loop(ctrl, words, trcdNS, iterations)
-	if err != nil {
-		return 0, err
-	}
-	return res.TotalNS, nil
-}
 
 // ReplayResult summarises the replay of a workload trace through the memory
 // controller.

@@ -21,175 +21,6 @@ func newController(t *testing.T) *memctrl.Controller {
 	return memctrl.NewController(dev)
 }
 
-func selection(banks, bitsPerBank int) []BankWords {
-	words := make([]BankWords, banks)
-	for b := 0; b < banks; b++ {
-		words[b] = BankWords{Bank: b, Row1: 10, Word1: 0, Row2: 20, Word2: 1, Bits: bitsPerBank}
-	}
-	return words
-}
-
-func TestBankWordsValidate(t *testing.T) {
-	good := BankWords{Bank: 0, Row1: 1, Word1: 0, Row2: 2, Word2: 0, Bits: 2}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid selection rejected: %v", err)
-	}
-	cases := []BankWords{
-		{Bank: -1, Row1: 1, Row2: 2},
-		{Bank: 0, Row1: 5, Row2: 5},
-		{Bank: 0, Row1: -1, Row2: 2},
-		{Bank: 0, Row1: 1, Row2: 2, Bits: -1},
-	}
-	for i, c := range cases {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d accepted: %+v", i, c)
-		}
-	}
-}
-
-func TestMeasureAlg2LoopBasic(t *testing.T) {
-	ctrl := newController(t)
-	res, err := MeasureAlg2Loop(ctrl, selection(1, 2), 10.0, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Banks != 1 || res.Iterations != 50 {
-		t.Errorf("result metadata wrong: %+v", res)
-	}
-	if res.NSPerIteration <= 0 || res.TotalNS <= 0 {
-		t.Errorf("non-positive timing: %+v", res)
-	}
-	if res.ThroughputMbps <= 0 {
-		t.Errorf("non-positive throughput: %+v", res)
-	}
-	// One iteration on one bank = two row cycles; it cannot be faster than
-	// 2×tRC = 120 ns nor absurdly slow.
-	if res.NSPerIteration < 100 || res.NSPerIteration > 1000 {
-		t.Errorf("per-iteration time %v ns outside plausible range", res.NSPerIteration)
-	}
-	// The controller must be back on default timing afterwards.
-	if ctrl.EffectiveTRCD() != ctrl.Params().TRCD {
-		t.Error("reduced tRCD left programmed after the loop")
-	}
-}
-
-func TestMeasureAlg2LoopThroughputScalesWithBanks(t *testing.T) {
-	var prev float64
-	for _, banks := range []int{1, 2, 4, 8} {
-		ctrl := newController(t)
-		res, err := MeasureAlg2Loop(ctrl, selection(banks, 2), 10.0, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.ThroughputMbps <= prev {
-			t.Errorf("throughput did not increase from %v to %v Mb/s when going to %d banks", prev, res.ThroughputMbps, banks)
-		}
-		prev = res.ThroughputMbps
-	}
-}
-
-func TestMeasureAlg2LoopThroughputScalesWithBits(t *testing.T) {
-	ctrl1 := newController(t)
-	one, err := MeasureAlg2Loop(ctrl1, selection(4, 1), 10.0, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl4 := newController(t)
-	four, err := MeasureAlg2Loop(ctrl4, selection(4, 4), 10.0, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := four.ThroughputMbps / one.ThroughputMbps
-	if ratio < 3.5 || ratio > 4.5 {
-		t.Errorf("4 RNG cells per word should give ~4x throughput of 1, got %vx", ratio)
-	}
-}
-
-func TestMeasureAlg2LoopRestoresData(t *testing.T) {
-	ctrl := newController(t)
-	dev := ctrl.Device()
-	zero := make([]uint64, dev.Geometry().ColsPerRow/64)
-	for _, row := range []int{10, 20} {
-		if err := dev.WriteRow(0, row, zero); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := MeasureAlg2Loop(ctrl, selection(1, 1), 8.0, 200); err != nil {
-		t.Fatal(err)
-	}
-	// The loop restores the original (all-zero) content after every sample,
-	// so the final stored word must be all zero again.
-	for _, row := range []int{10, 20} {
-		raw, err := dev.ReadRowRaw(0, row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range raw[:4] {
-			if w != 0 {
-				t.Errorf("row %d word0[%d] = %x after loop, want 0 (restored)", row, i, w)
-			}
-		}
-	}
-}
-
-func TestMeasureAlg2LoopValidation(t *testing.T) {
-	ctrl := newController(t)
-	if _, err := MeasureAlg2Loop(ctrl, nil, 10, 1); err == nil {
-		t.Error("empty selection accepted")
-	}
-	if _, err := MeasureAlg2Loop(ctrl, selection(1, 1), 10, 0); err == nil {
-		t.Error("zero iterations accepted")
-	}
-	if _, err := MeasureAlg2Loop(ctrl, selection(1, 1), 99, 1); err == nil {
-		t.Error("tRCD above default accepted")
-	}
-	bad := selection(1, 1)
-	bad[0].Row2 = bad[0].Row1
-	if _, err := MeasureAlg2Loop(ctrl, bad, 10, 1); err == nil {
-		t.Error("same-row selection accepted")
-	}
-	huge := selection(1, 1)
-	huge[0].Row1 = 1 << 30
-	if _, err := MeasureAlg2Loop(ctrl, huge, 10, 1); err == nil {
-		t.Error("out-of-geometry selection accepted")
-	}
-}
-
-func TestSimulateLatency(t *testing.T) {
-	ctrl := newController(t)
-	ns, err := SimulateLatency(ctrl, selection(8, 1), 10.0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns <= 0 {
-		t.Fatalf("latency = %v, want positive", ns)
-	}
-	// More parallelism and more bits per access must reduce latency.
-	ctrlFast := newController(t)
-	nsFast, err := SimulateLatency(ctrlFast, selection(8, 4), 10.0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nsFast >= ns {
-		t.Errorf("4 bits/word latency (%v) should beat 1 bit/word latency (%v)", nsFast, ns)
-	}
-	ctrlSlow := newController(t)
-	nsSlow, err := SimulateLatency(ctrlSlow, selection(1, 1), 10.0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nsSlow <= ns {
-		t.Errorf("single-bank latency (%v) should exceed 8-bank latency (%v)", nsSlow, ns)
-	}
-
-	if _, err := SimulateLatency(ctrl, selection(1, 0), 10, 64); err == nil {
-		t.Error("zero-bit selection accepted")
-	}
-	if _, err := SimulateLatency(ctrl, selection(1, 1), 10, 0); err == nil {
-		t.Error("zero target bits accepted")
-	}
-}
-
 func TestReplayWorkloadIdleFraction(t *testing.T) {
 	cfg := workload.Config{Banks: 8, RowsPerBank: 1024, WordsPerRow: 32, DurationNS: 200000, Seed: 3}
 

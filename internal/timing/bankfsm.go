@@ -15,6 +15,9 @@ type BankFSM struct {
 	cTRCD, cTRAS, cTRC, cTCL, cTCCD, cTRTP int64
 	cTCWL, cTWR, cTWTR, cTRP, cTRFC        int64
 	cBurst                                 int64
+	// cReducedTRCD is the cycle conversion of the last ACT's reduced tRCD,
+	// recomputed only when an ACT brings a different one.
+	cReducedTRCD int64
 
 	state   BankState
 	openRow int
@@ -123,7 +126,10 @@ func (b *BankFSM) Activate(now int64, row int, reducedTRCDNS float64) (*Violatio
 
 	cTRCD := b.cTRCD
 	if reducedTRCDNS > 0 {
-		cTRCD = b.params.Cycles(reducedTRCDNS)
+		if reducedTRCDNS != b.lastACTReducedTRCD {
+			b.cReducedTRCD = b.params.Cycles(reducedTRCDNS)
+		}
+		cTRCD = b.cReducedTRCD
 	}
 	b.state = BankActivating
 	b.openRow = row

@@ -116,6 +116,31 @@ func TestBankFSMReducedTRCDOverride(t *testing.T) {
 	}
 }
 
+// TestBankFSMReducedTRCDSequence checks the READ-ready cycle across ACTs
+// whose tRCD changes, returns to the default, and repeats: each ACT must use
+// its own tRCD, never the previous ACT's.
+func TestBankFSMReducedTRCDSequence(t *testing.T) {
+	p := NewLPDDR4()
+	b := NewBankFSM(p)
+	now := int64(0)
+	for i, trcd := range []float64{10.0, 0, 12.5, 12.5} {
+		if _, err := b.Activate(now, i, trcd); err != nil {
+			t.Fatal(err)
+		}
+		want := now + p.Cycles(p.TRCD)
+		if trcd > 0 {
+			want = now + p.Cycles(trcd)
+		}
+		if got := b.EarliestRead(); got != want {
+			t.Errorf("ACT %d (tRCD %v ns): EarliestRead = %d, want %d", i, trcd, got, want)
+		}
+		if _, err := b.Precharge(b.EarliestPRE()); err != nil {
+			t.Fatal(err)
+		}
+		now = b.EarliestACT()
+	}
+}
+
 func TestBankFSMActivateOpenBankFails(t *testing.T) {
 	b := NewBankFSM(NewLPDDR4())
 	if _, err := b.Activate(0, 1, 0); err != nil {
