@@ -5,8 +5,9 @@
 //
 // Two rules:
 //
-//  1. The entropy-bearing device methods — ReadWord, ReadWordInto and
-//     Activate as provided by repro/internal/device and repro/internal/dram —
+//  1. The entropy-bearing device methods — ReadWord, ReadWordInto, Activate
+//     and the fused SampleWord (an ACT and its first READ in one call) as
+//     provided by repro/internal/device and repro/internal/dram —
 //     may only be referenced from the packages that implement or drive the
 //     device (internal/memctrl, internal/profiler, internal/dram,
 //     internal/device) and from the drange backend adapter files
@@ -45,6 +46,7 @@ var bannedMethods = map[string]bool{
 	"ReadWord":     true,
 	"ReadWordInto": true,
 	"Activate":     true,
+	"SampleWord":   true,
 }
 
 // providerPkgs are the packages whose methods carry raw entropy.

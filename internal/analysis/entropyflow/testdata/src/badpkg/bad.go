@@ -17,3 +17,7 @@ func Setup(dev device.Device) ([]uint64, error) {
 func Grab(dev device.WordReaderInto, dst []uint64) error {
 	return dev.ReadWordInto(0, 0, dst) // want "raw device read device.ReadWordInto"
 }
+
+func Sample(dev device.WordSampler, dst, restore []uint64) error {
+	return dev.SampleWord(0, 1, 0, false, 10, dst, restore) // want "raw device read device.SampleWord"
+}

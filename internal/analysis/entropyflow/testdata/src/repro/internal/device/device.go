@@ -15,3 +15,9 @@ type Device interface {
 type WordReaderInto interface {
 	ReadWordInto(bank, wordIdx int, dst []uint64) error
 }
+
+// WordSampler is the fused sample capability: an ACT and its first READ in
+// one call.
+type WordSampler interface {
+	SampleWord(bank, row, wordIdx int, precharge bool, trcdNS float64, dst, restore []uint64) error
+}

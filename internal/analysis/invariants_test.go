@@ -100,7 +100,9 @@ var requiredNoalloc = []struct {
 	{"internal/memctrl/controller.go", "ActivateRow"},
 	{"internal/memctrl/controller.go", "ReadWordInto"},
 	{"internal/memctrl/controller.go", "WriteWord"},
+	{"internal/memctrl/controller.go", "SamplePhase"},
 	{"internal/dram/device.go", "ReadWordInto"},
+	{"internal/dram/device.go", "SampleWord"},
 	{"internal/dram/device.go", "injectFailuresLocked"},
 	{"internal/dram/noise.go", "pair"},
 	{"internal/dram/noise.go", "wordLocked"},

@@ -8,8 +8,12 @@
 // taint.go) with the repo's policy:
 //
 //   - Sources: Device/Controller read methods — ReadWord, ReadWordInto,
-//     ReadRowRaw, StartupRow — in internal/device, internal/dram and
-//     internal/memctrl. Their results and output buffers carry taint.
+//     ReadRowRaw, StartupRow, the fused SampleWord and the controller's
+//     SamplePhase — in internal/device, internal/dram and internal/memctrl.
+//     Their results and output buffers carry taint. SamplePhase is named
+//     because its reads land in the Dst buffers of the ops the caller
+//     passes, which the summary of its SampleWord calls cannot carry: field
+//     taint stays in the package that stores it.
 //   - Cleanser: health.Monitor.Ingest and IngestPacked. Ingestion is the
 //     only operation that clears taint; the monitored buffer is strongly
 //     cleansed.
@@ -59,6 +63,8 @@ var sourceMethods = map[string]bool{
 	"ReadWordInto": true,
 	"ReadRowRaw":   true,
 	"StartupRow":   true,
+	"SampleWord":   true,
+	"SamplePhase":  true,
 }
 
 var sourcePkgs = []string{"internal/device", "internal/dram", "internal/memctrl"}

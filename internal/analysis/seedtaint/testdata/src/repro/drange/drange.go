@@ -11,6 +11,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/drbg"
 	"repro/internal/health"
+	"repro/internal/memctrl"
 	"repro/internal/postproc"
 	"repro/sampler"
 )
@@ -157,4 +158,31 @@ func ScreenedSeed(d *device.Device, m *health.Monitor) (*drbg.DRBG, error) {
 		return nil, errors.New(v.Detail)
 	}
 	return drbg.NewChaCha(buf, nil, drbg.Options{})
+}
+
+// SampleSeed keys a DRBG from the read buffer of a fused device sample.
+func SampleSeed(d *device.Device) (*drbg.DRBG, error) {
+	words, restore := make([]uint64, 4), make([]uint64, 4)
+	if err := d.SampleWord(0, 1, 0, false, 10, words, restore); err != nil {
+		return nil, err
+	}
+	return drbg.NewChaCha(wordBytes(words), nil, drbg.Options{}) // want "raw device entropy reaches the DRBG instantiation seed without passing health\\.Monitor"
+}
+
+// PhaseSeed keys a DRBG from the Dst buffer of a controller sample phase.
+func PhaseSeed(c *memctrl.Controller) (*drbg.DRBG, error) {
+	ops := []memctrl.SampleOp{{Dst: make([]uint64, 4), Restore: make([]uint64, 4)}}
+	if err := c.SamplePhase(ops); err != nil {
+		return nil, err
+	}
+	return drbg.NewChaCha(wordBytes(ops[0].Dst), nil, drbg.Options{}) // want "raw device entropy reaches the DRBG instantiation seed without passing health\\.Monitor"
+}
+
+// wordBytes serializes words little-endian.
+func wordBytes(words []uint64) []byte {
+	out := make([]byte, 8*len(words))
+	for i := range out {
+		out[i] = byte(words[i/8] >> uint(8*(i%8)))
+	}
+	return out
 }

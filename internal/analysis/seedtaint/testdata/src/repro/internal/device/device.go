@@ -14,3 +14,11 @@ func (d *Device) ReadWordInto(bank, wordIdx int, dst []uint64) (int, error) {
 	}
 	return len(dst), nil
 }
+
+// SampleWord is the fused PRE-ACT-RD-WR sample: dst receives the read.
+func (d *Device) SampleWord(bank, row, wordIdx int, precharge bool, trcdNS float64, dst, restore []uint64) error {
+	for i := range dst {
+		dst[i] = d.state
+	}
+	return nil
+}

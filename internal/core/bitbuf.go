@@ -95,12 +95,9 @@ func (b *bitBuffer) PopPacked(p []byte) {
 // PopWord removes up to 64 bits and returns them packed LSB-first together
 // with the number of valid bits. An empty buffer returns (0, 0).
 func (b *bitBuffer) PopWord() (word uint64, n int) {
-	n = b.Len()
-	if n > 64 {
-		n = 64
-	}
-	for i := 0; i < n; i++ {
-		word |= uint64(b.popBit()) << uint(i)
+	n = min(b.Len(), 64)
+	if n > 0 {
+		word = b.popChunk(n)
 	}
 	b.compact()
 	return word, n

@@ -51,6 +51,38 @@ func TestBitBufferPopWordPacksLSBFirst(t *testing.T) {
 	if word, n := b.PopWord(); n != 0 || word != 0 {
 		t.Fatalf("PopWord on empty buffer = (%d, %d), want (0, 0)", word, n)
 	}
+
+	// Against a bit-by-bit reference: heads off a word boundary (after
+	// PopBits(3) and PopBits(61)) and tails shorter than a word.
+	state := uint64(7)
+	for _, skip := range []int{0, 3, 61} {
+		for _, total := range []int{skip + 1, skip + 5, skip + 64, skip + 64 + 63, skip + 200} {
+			var b bitBuffer
+			var ref []byte
+			for i := 0; i < total; i++ {
+				state = state*6364136223846793005 + 1442695040888963407
+				bit := byte(state >> 63)
+				b.Append(bit)
+				ref = append(ref, bit)
+			}
+			b.PopBits(skip)
+			ref = ref[skip:]
+			for len(ref) > 0 {
+				want, wantN := uint64(0), min(len(ref), 64)
+				for i, bit := range ref[:wantN] {
+					want |= uint64(bit) << uint(i)
+				}
+				word, n := b.PopWord()
+				if word != want || n != wantN {
+					t.Fatalf("skip %d, total %d: PopWord = (%#x, %d), want (%#x, %d)", skip, total, word, n, want, wantN)
+				}
+				ref = ref[wantN:]
+			}
+			if b.Len() != 0 {
+				t.Fatalf("skip %d, total %d: %d bits left after draining", skip, total, b.Len())
+			}
+		}
+	}
 }
 
 func TestBitBufferInterleavedAppendPop(t *testing.T) {

@@ -413,6 +413,10 @@ func TestNewTRNGValidation(t *testing.T) {
 	if _, err := NewTRNG(ctrl, sameRow, DefaultTRNGConfig("A")); err == nil {
 		t.Error("single-row selection accepted")
 	}
+	// A sample phase takes one word per bank, so a bank may be selected once.
+	if _, err := NewTRNG(ctrl, []BankSelection{sels[0], sels[0]}, DefaultTRNGConfig("A")); err == nil {
+		t.Error("bank selected twice accepted")
+	}
 }
 
 func TestSampleCellValidation(t *testing.T) {

@@ -37,32 +37,20 @@ type TRNG struct {
 	ctrl *memctrl.Controller
 	cfg  TRNGConfig
 
-	sels []trngBank
+	// phases are the two halves of an Algorithm 2 iteration, word 1 of every
+	// selected bank and then word 2, in selection order. Each op's Dst
+	// receives the word's reduced-latency read, sized by the constructor so
+	// the harvest loop never allocates, and its Restore is the word's content
+	// when the generator was prepared, written back after every sample.
+	phases [2][]memctrl.SampleOp
+	// cols[half][i] are the bit positions of the RNG cells within the word
+	// of phases[half][i].
+	cols [2][][]int
 
 	// bits holds harvested bits, packed 64 per word, not yet consumed.
 	bits bitBuffer
 
 	bitsGenerated int64
-}
-
-// trngBank is the runtime state for one selected bank: its two words, word 1
-// first.
-type trngBank struct {
-	bank  int
-	words [2]trngWord
-}
-
-type trngWord struct {
-	row     int
-	wordIdx int
-	// cols are the bit positions of the RNG cells within the word.
-	cols []int
-	// original is the word's content when the generator was prepared,
-	// restored after every sample.
-	original []uint64
-	// got receives the word's reduced-latency read; it is sized by the
-	// constructor so the harvest loop never allocates.
-	got []uint64
 }
 
 // NewTRNG prepares a D-RaNGe generator over the given bank selections
@@ -106,6 +94,7 @@ func newTRNG(ctrl *memctrl.Controller, selections []BankSelection, cfg TRNGConfi
 		return nil, fmt.Errorf("core: generation tRCD %v ns outside (0, %v]", cfg.TRCDNS, ctrl.Params().TRCD)
 	}
 	t := &TRNG{ctrl: ctrl, cfg: cfg}
+	seen := make(map[int]bool, len(selections))
 	for _, s := range selections {
 		if s.Bits() == 0 {
 			return nil, fmt.Errorf("core: bank %d selection has no RNG cells", s.Bank)
@@ -113,57 +102,67 @@ func newTRNG(ctrl *memctrl.Controller, selections []BankSelection, cfg TRNGConfi
 		if s.Word1.Row == s.Word2.Row {
 			return nil, fmt.Errorf("core: bank %d selection uses a single row %d", s.Bank, s.Word1.Row)
 		}
-		tb := trngBank{bank: s.Bank}
-		for i, w := range []WordRef{s.Word1, s.Word2} {
-			var err error
-			if tb.words[i], err = t.prepareWord(s.Bank, w); err != nil {
+		if seen[s.Bank] {
+			return nil, fmt.Errorf("core: bank %d selected twice", s.Bank)
+		}
+		seen[s.Bank] = true
+		for half, w := range []WordRef{s.Word1, s.Word2} {
+			op, cols, err := t.prepareWord(s.Bank, w)
+			if err != nil {
 				return nil, err
 			}
+			t.phases[half] = append(t.phases[half], op)
+			t.cols[half] = append(t.cols[half], cols)
 		}
-		t.sels = append(t.sels, tb)
 	}
 	return t, nil
 }
 
-func (t *TRNG) prepareWord(bank int, w WordRef) (trngWord, error) {
+// prepareWord returns the sample op of word w of bank and the positions of
+// its RNG cells within the word.
+func (t *TRNG) prepareWord(bank int, w WordRef) (memctrl.SampleOp, []int, error) {
 	g := t.ctrl.Device().Geometry()
 	if w.WordIdx < 0 || w.WordIdx >= g.WordsPerRow() || w.Row < 0 || w.Row >= g.RowsPerBank {
-		return trngWord{}, fmt.Errorf("core: word %+v outside device geometry", w)
+		return memctrl.SampleOp{}, nil, fmt.Errorf("core: word %+v outside device geometry", w)
 	}
 	nw := g.WordBits / 64
 	rowData, err := t.ctrl.Device().ReadRowRaw(bank, w.Row)
 	if err != nil {
-		return trngWord{}, err
+		return memctrl.SampleOp{}, nil, err
 	}
-	tw := trngWord{
-		row:      w.Row,
-		wordIdx:  w.WordIdx,
-		original: append([]uint64(nil), rowData[w.WordIdx*nw:(w.WordIdx+1)*nw]...),
-		got:      make([]uint64, nw),
+	op := memctrl.SampleOp{
+		Bank:    bank,
+		Row:     w.Row,
+		Word:    w.WordIdx,
+		Dst:     make([]uint64, nw),
+		Restore: append([]uint64(nil), rowData[w.WordIdx*nw:(w.WordIdx+1)*nw]...),
 	}
+	var cols []int
 	for _, addr := range addrSetForSelection(w) {
 		if addr.Bank != bank {
-			return trngWord{}, fmt.Errorf("core: RNG cell %+v does not belong to bank %d", addr, bank)
+			return memctrl.SampleOp{}, nil, fmt.Errorf("core: RNG cell %+v does not belong to bank %d", addr, bank)
 		}
 		col := addr.Col - w.WordIdx*g.WordBits
 		if col < 0 || col >= g.WordBits {
-			return trngWord{}, fmt.Errorf("core: RNG cell %+v is not inside word %d", addr, w.WordIdx)
+			return memctrl.SampleOp{}, nil, fmt.Errorf("core: RNG cell %+v is not inside word %d", addr, w.WordIdx)
 		}
-		tw.cols = append(tw.cols, col)
+		cols = append(cols, col)
 	}
-	sort.Ints(tw.cols)
-	return tw, nil
+	sort.Ints(cols)
+	return op, cols, nil
 }
 
 // Banks returns the number of banks the generator samples in parallel.
-func (t *TRNG) Banks() int { return len(t.sels) }
+func (t *TRNG) Banks() int { return len(t.phases[0]) }
 
 // BitsPerIteration returns the number of random bits harvested by one pass
 // of the Algorithm 2 core loop over all selected banks.
 func (t *TRNG) BitsPerIteration() int {
 	n := 0
-	for _, s := range t.sels {
-		n += len(s.words[0].cols) + len(s.words[1].cols)
+	for _, half := range t.cols {
+		for _, cols := range half {
+			n += len(cols)
+		}
 	}
 	return n
 }
@@ -173,11 +172,12 @@ func (t *TRNG) BitsGenerated() int64 { return t.bitsGenerated }
 
 // harvest runs Algorithm 2's core loop until at least n bits are queued.
 // Each iteration samples word 1 of every bank (lines 8–11), then word 2
-// (lines 12–15), and issues each half in phases across the banks: every
-// ACT, then every reduced-latency RD, then every restoring WR, so the banks'
-// activation latencies overlap (the bank-level parallelism behind Figure 8).
-// Each bank still sees its own commands in the order ACT, RD, WR. The bits
-// are queued bank by bank, word 1 before word 2.
+// (lines 12–15), each half as one memctrl.SamplePhase: every ACT, then every
+// reduced-latency RD, then every restoring WR, so the banks' activation
+// latencies overlap (the bank-level parallelism behind Figure 8). Each bank
+// still sees its own commands in the order ACT, RD, WR, and the simulated
+// device takes each word's sample as one call. The bits are queued bank by
+// bank, word 1 before word 2.
 //
 //drange:noalloc
 func (t *TRNG) harvest(n int) error {
@@ -186,32 +186,18 @@ func (t *TRNG) harvest(n int) error {
 	}
 	defer t.ctrl.ResetTRCD()
 	for t.bits.Len() < n {
-		for half := 0; half < 2; half++ {
-			for i := range t.sels {
-				if err := t.ctrl.ActivateRow(t.sels[i].bank, t.sels[i].words[half].row); err != nil {
-					return err
-				}
-			}
-			for i := range t.sels {
-				w := &t.sels[i].words[half]
-				if _, err := t.ctrl.ReadWordInto(t.sels[i].bank, w.row, w.wordIdx, w.got); err != nil {
-					return err
-				}
-			}
-			for i := range t.sels {
-				w := &t.sels[i].words[half]
-				if _, err := t.ctrl.WriteWord(t.sels[i].bank, w.row, w.wordIdx, w.original); err != nil {
-					return err
-				}
+		for half := range t.phases {
+			if err := t.ctrl.SamplePhase(t.phases[half]); err != nil {
+				return err
 			}
 		}
-		for i := range t.sels {
-			for half := range t.sels[i].words {
-				w := &t.sels[i].words[half]
-				for _, col := range w.cols {
-					t.bits.Append(byte((w.got[col/64] >> uint(col%64)) & 1))
+		for i := range t.phases[0] {
+			for half := range t.phases {
+				got, cols := t.phases[half][i].Dst, t.cols[half][i]
+				for _, col := range cols {
+					t.bits.Append(byte((got[col/64] >> uint(col%64)) & 1))
 				}
-				t.bitsGenerated += int64(len(w.cols))
+				t.bitsGenerated += int64(len(cols))
 			}
 		}
 	}

@@ -7,6 +7,13 @@
 // record/replay, fault injection, and eventually real-hardware shims) can be
 // swapped in without touching the pipeline.
 //
+// Two optional capabilities let the simulator skip per-command overhead on
+// the sampling path: WordReaderInto reads a word into a caller-owned buffer,
+// and WordSampler applies a whole Algorithm 2 sample of one word (PRE, ACT,
+// RD, WR) in one call. The memory controller asserts both once and falls back
+// to the per-command Device methods, in issue order, for backends that lack
+// them (operation replay, fault injection, public-facade adapters).
+//
 // The public facade (package drange) mirrors this contract with public types
 // as drange.Device and adapts registered backends onto it.
 package device
@@ -76,8 +83,9 @@ var _ Device = (*dram.Device)(nil)
 
 // WordReaderInto is an optional device capability: an allocation-free
 // ReadWord variant writing into a caller-owned buffer. The memory controller
-// uses it when present (the simulator implements it); wrapping backends that
-// do not are served through ReadWord with a copy.
+// uses it for every read it hands the device command by command (the
+// simulator implements it); wrapping backends that do not are served through
+// ReadWord with a copy.
 type WordReaderInto interface {
 	// ReadWordInto reads DRAM word wordIdx from the row open in bank into
 	// dst, which must hold Geometry().WordBits/64 uint64s. Failure-injection
@@ -86,3 +94,19 @@ type WordReaderInto interface {
 }
 
 var _ WordReaderInto = (*dram.Device)(nil)
+
+// WordSampler is an optional device capability: one Algorithm 2 sample of a
+// DRAM word as a single call. The memory controller still times, counts and
+// traces each command of the sample; it hands the device the whole sample at
+// the READ's slot instead of one call per command. Only the simulator
+// implements it.
+type WordSampler interface {
+	// SampleWord applies, in order: Precharge(bank) when precharge is set,
+	// Activate(bank, row, trcdNS), ReadWordInto(bank, wordIdx, dst) and
+	// WriteWord(bank, wordIdx, restore). Effects and errors match that
+	// sequence, except that invalid arguments are rejected before any
+	// command applies.
+	SampleWord(bank, row, wordIdx int, precharge bool, trcdNS float64, dst, restore []uint64) error
+}
+
+var _ WordSampler = (*dram.Device)(nil)

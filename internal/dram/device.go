@@ -43,13 +43,18 @@ type Config struct {
 //
 // Device methods are safe for concurrent use by multiple goroutines; the
 // paper exploits bank-level parallelism and callers may drive different banks
-// concurrently.
+// concurrently. Every command takes d.mu once; SampleWord applies a whole
+// Algorithm 2 sample (PRE, ACT, RD, WR) under that one acquisition, and the
+// noise stream of the bank is locked separately, once per injected word.
 type Device struct {
 	serial  uint64
 	profile Profile
 	geom    Geometry
 	timing  timing.Params
 	noise   NoiseSource
+	// wordsPerRow and wordU64s cache geom.WordsPerRow() and geom.wordU64s(),
+	// which every column command's checks would otherwise divide for.
+	wordsPerRow, wordU64s int
 
 	mu           sync.Mutex
 	temperatureC float64        // drange:guardedby mu
@@ -78,6 +83,10 @@ type Device struct {
 type injectInfo struct {
 	cols  []int
 	chars []CellCharacter
+	// vulnerable[i] is the stored value at which cell i can fail, so the
+	// kernel skips a cell storing the other value without loading its
+	// character.
+	vulnerable []uint8
 	// firstDraws holds one entry per (weak cell i, differing-neighbour count
 	// n) at i*neighbourCounts+n, filled on first use for the temperature and
 	// tRCD recorded beside it and cleared when either changes. One word per
@@ -118,6 +127,18 @@ type bankStorage struct {
 	open               bool
 	activatedTRCD      float64
 	firstAccessPending bool
+
+	// injected memoizes the injection data of the two words last injected
+	// in this bank, most recent first, in front of the device-wide inject
+	// map: the TRNG alternates two words per bank, so serving never probes
+	// the map.
+	injected [2]injectMemo
+}
+
+// injectMemo is one bankStorage.injected entry; a nil info is empty.
+type injectMemo struct {
+	row, wordIdx int
+	info         *injectInfo
 }
 
 // NewDevice constructs a simulated device from cfg.
@@ -181,6 +202,8 @@ func NewDevice(cfg Config) (*Device, error) {
 		geom:         geom,
 		timing:       tp,
 		noise:        noise,
+		wordsPerRow:  geom.WordsPerRow(),
+		wordU64s:     geom.wordU64s(),
 		temperatureC: BaselineTemperatureC,
 		banks:        make([]*bankStorage, geom.Banks),
 		weakCols:     make(map[weakKey][][]int),
@@ -257,24 +280,37 @@ func (d *Device) cellCharacterLocked(bank, row, col int) CellCharacter {
 }
 
 // injectInfoLocked returns (computing and caching if needed) the injection
-// data of DRAM word (bank, row, wordIdx). Callers hold d.mu.
+// data of DRAM word (bank, row, wordIdx). The bank's two-entry memo answers
+// before the inject map does. Callers hold d.mu.
 func (d *Device) injectInfoLocked(bank, row, wordIdx int) *injectInfo {
+	memo := &d.banks[bank].injected
+	for i := range memo {
+		if m := &memo[i]; m.info != nil && m.row == row && m.wordIdx == wordIdx {
+			return m.info
+		}
+	}
 	key := uint64(bank)<<40 | uint64(row)<<16 | uint64(wordIdx)
-	if info, ok := d.inject[key]; ok {
-		return info
+	info, ok := d.inject[key]
+	if !ok {
+		weak := d.weakColumnsLocked(bank, d.subarrayOf(row))[wordIdx]
+		// trcdNS stays 0, which no activation uses, so the first injection
+		// records its conditions over the still-empty table.
+		info = &injectInfo{
+			cols:       weak,
+			chars:      make([]CellCharacter, len(weak)),
+			firstDraws: make([]firstDraw, neighbourCounts*len(weak)),
+		}
+		info.vulnerable = make([]uint8, len(weak))
+		for i, col := range weak {
+			c := cellCharacter(d.serial, bank, row, col, d.geom, d.profile)
+			info.chars[i] = c
+			if c.VulnerableWhenStoring(1) {
+				info.vulnerable[i] = 1
+			}
+		}
+		d.inject[key] = info
 	}
-	weak := d.weakColumnsLocked(bank, d.subarrayOf(row))[wordIdx]
-	// trcdNS stays 0, which no activation uses, so the first injection
-	// records its conditions over the still-empty table.
-	info := &injectInfo{
-		cols:       weak,
-		chars:      make([]CellCharacter, len(weak)),
-		firstDraws: make([]firstDraw, neighbourCounts*len(weak)),
-	}
-	for i, col := range weak {
-		info.chars[i] = cellCharacter(d.serial, bank, row, col, d.geom, d.profile)
-	}
-	d.inject[key] = info
+	memo[1], memo[0] = memo[0], injectMemo{row: row, wordIdx: wordIdx, info: info}
 	return info
 }
 
@@ -288,8 +324,8 @@ func (d *Device) WeakColumnsInWord(bank, row, wordIdx int) ([]int, error) {
 	if row < 0 || row >= d.geom.RowsPerBank {
 		return nil, fmt.Errorf("dram: row %d out of range [0,%d)", row, d.geom.RowsPerBank)
 	}
-	if wordIdx < 0 || wordIdx >= d.geom.WordsPerRow() {
-		return nil, fmt.Errorf("dram: word %d out of range [0,%d)", wordIdx, d.geom.WordsPerRow())
+	if err := d.checkWord(wordIdx); err != nil {
+		return nil, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -312,7 +348,7 @@ func (d *Device) weakColumnsLocked(bank, sub int) [][]int {
 	if cols, ok := d.weakCols[key]; ok {
 		return cols
 	}
-	words := d.geom.WordsPerRow()
+	words := d.wordsPerRow
 	grouped := make([][]int, words)
 	for col := 0; col < d.geom.ColsPerRow; col++ {
 		if columnIsWeak(d.serial, bank, sub, col, d.profile) {
@@ -337,6 +373,13 @@ func (d *Device) checkRow(bank, row int) error {
 	}
 	if row < 0 || row >= d.geom.RowsPerBank {
 		return fmt.Errorf("dram: row %d out of range [0,%d)", row, d.geom.RowsPerBank)
+	}
+	return nil
+}
+
+func (d *Device) checkWord(wordIdx int) error {
+	if wordIdx < 0 || wordIdx >= d.wordsPerRow {
+		return fmt.Errorf("dram: word %d out of range [0,%d)", wordIdx, d.wordsPerRow)
 	}
 	return nil
 }
@@ -405,14 +448,25 @@ func setBit(data []uint64, col int, v uint64) {
 // from the row. Activating an already-open bank is an error (the controller
 // must precharge first), matching real DRAM behaviour.
 func (d *Device) Activate(bank, row int, trcdNS float64) error {
+	if err := d.checkActivate(bank, row, trcdNS); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.activateLocked(bank, row, trcdNS)
+}
+
+func (d *Device) checkActivate(bank, row int, trcdNS float64) error {
 	if err := d.checkRow(bank, row); err != nil {
 		return err
 	}
 	if trcdNS <= 0 {
 		return fmt.Errorf("dram: activation latency must be positive, got %v", trcdNS)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	return nil
+}
+
+func (d *Device) activateLocked(bank, row int, trcdNS float64) error {
 	b := d.banks[bank]
 	if b.open {
 		return fmt.Errorf("dram: bank %d already has row %d open", bank, b.openRow)
@@ -436,12 +490,16 @@ func (d *Device) Precharge(bank int) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.prechargeLocked(bank)
+	return nil
+}
+
+func (d *Device) prechargeLocked(bank int) {
 	b := d.banks[bank]
 	b.open = false
 	b.openRow = -1
 	b.firstAccessPending = false
 	d.stats.Precharges++
-	return nil
 }
 
 // OpenRow returns the row currently open in bank, or -1 if the bank is
@@ -483,7 +541,7 @@ func (d *Device) Refresh() error {
 // drawn from the noise source's stream for bank (see injectFailuresLocked).
 // The returned slice is a copy owned by the caller.
 func (d *Device) ReadWord(bank, wordIdx int) ([]uint64, error) {
-	out := make([]uint64, d.geom.wordU64s())
+	out := make([]uint64, d.wordU64s)
 	if err := d.ReadWordInto(bank, wordIdx, out); err != nil {
 		return nil, err
 	}
@@ -496,18 +554,31 @@ func (d *Device) ReadWord(bank, wordIdx int) ([]uint64, error) {
 //
 //drange:noalloc
 func (d *Device) ReadWordInto(bank, wordIdx int, dst []uint64) error {
-	if err := d.checkBank(bank); err != nil {
+	if err := d.checkRead(bank, wordIdx, dst); err != nil {
 		return err
-	}
-	if wordIdx < 0 || wordIdx >= d.geom.WordsPerRow() {
-		return fmt.Errorf("dram: word %d out of range [0,%d)", wordIdx, d.geom.WordsPerRow())
-	}
-	nw := d.geom.wordU64s()
-	if len(dst) != nw {
-		return fmt.Errorf("dram: destination length %d, want %d uint64s", len(dst), nw)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.readWordLocked(bank, wordIdx, dst)
+}
+
+func (d *Device) checkRead(bank, wordIdx int, dst []uint64) error {
+	if err := d.checkBank(bank); err != nil {
+		return err
+	}
+	if err := d.checkWord(wordIdx); err != nil {
+		return err
+	}
+	if len(dst) != d.wordU64s {
+		return fmt.Errorf("dram: destination length %d, want %d uint64s", len(dst), d.wordU64s)
+	}
+	return nil
+}
+
+// readWordLocked reads word wordIdx of bank's open row into dst, injecting
+// activation failures first when this is the first access after a
+// reduced-tRCD activation.
+func (d *Device) readWordLocked(bank, wordIdx int, dst []uint64) error {
 	b := d.banks[bank]
 	if !b.open {
 		return fmt.Errorf("dram: read from bank %d with no open row", bank)
@@ -523,24 +594,35 @@ func (d *Device) ReadWordInto(bank, wordIdx int, dst []uint64) error {
 	}
 
 	d.stats.Reads++
+	nw := len(dst)
 	copy(dst, data[wordIdx*nw:(wordIdx+1)*nw])
 	return nil
 }
 
 // WriteWord writes DRAM word wordIdx of the row currently open in bank.
 func (d *Device) WriteWord(bank, wordIdx int, word []uint64) error {
-	if err := d.checkBank(bank); err != nil {
+	if err := d.checkWrite(bank, wordIdx, word); err != nil {
 		return err
-	}
-	if wordIdx < 0 || wordIdx >= d.geom.WordsPerRow() {
-		return fmt.Errorf("dram: word %d out of range [0,%d)", wordIdx, d.geom.WordsPerRow())
-	}
-	nw := d.geom.wordU64s()
-	if len(word) != nw {
-		return fmt.Errorf("dram: word length %d, want %d uint64s", len(word), nw)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.writeWordLocked(bank, wordIdx, word)
+}
+
+func (d *Device) checkWrite(bank, wordIdx int, word []uint64) error {
+	if err := d.checkBank(bank); err != nil {
+		return err
+	}
+	if err := d.checkWord(wordIdx); err != nil {
+		return err
+	}
+	if len(word) != d.wordU64s {
+		return fmt.Errorf("dram: word length %d, want %d uint64s", len(word), d.wordU64s)
+	}
+	return nil
+}
+
+func (d *Device) writeWordLocked(bank, wordIdx int, word []uint64) error {
 	b := d.banks[bank]
 	if !b.open {
 		return fmt.Errorf("dram: write to bank %d with no open row", bank)
@@ -549,9 +631,56 @@ func (d *Device) WriteWord(bank, wordIdx int, word []uint64) error {
 	// a read does (subsequent reads come from fully-restored cells).
 	b.firstAccessPending = false
 	data := d.rowDataLocked(bank, b.openRow)
+	nw := len(word)
 	copy(data[wordIdx*nw:(wordIdx+1)*nw], word)
 	d.stats.Writes++
 	return nil
+}
+
+// checkSample runs the checks of a SampleWord call's commands in issue
+// order, the ACT's, then the READ's, then the WRITE's, and returns the first
+// error.
+func (d *Device) checkSample(bank, row, wordIdx int, trcdNS float64, dst, restore []uint64) error {
+	if err := d.checkActivate(bank, row, trcdNS); err != nil {
+		return err
+	}
+	if err := d.checkRead(bank, wordIdx, dst); err != nil {
+		return err
+	}
+	return d.checkWrite(bank, wordIdx, restore)
+}
+
+// SampleWord applies one Algorithm 2 sample of DRAM word (bank, row, wordIdx)
+// under a single lock acquisition: the PRE closing the bank's open row (only
+// when precharge is set, as the controller issued one), the ACT at trcdNS,
+// the first-access READ into dst with failure injection, and the WRITE of
+// restore. It is the command sequence Precharge, Activate, ReadWordInto,
+// WriteWord, with the same effects and errors, except that every argument is
+// validated before any state changes: a sequence the four calls would reject
+// part-way is rejected here whole. An ACT to a bank with a row still open is
+// the same "already has row open" error.
+//
+//drange:noalloc
+func (d *Device) SampleWord(bank, row, wordIdx int, precharge bool, trcdNS float64, dst, restore []uint64) error {
+	// One branch covers every check of checkSample, which runs only to name
+	// the failing one: its nested calls are a measurable share of a
+	// sample's device time.
+	if uint(bank) >= uint(d.geom.Banks) || uint(row) >= uint(d.geom.RowsPerBank) || trcdNS <= 0 ||
+		uint(wordIdx) >= uint(d.wordsPerRow) || len(dst) != d.wordU64s || len(restore) != d.wordU64s {
+		return d.checkSample(bank, row, wordIdx, trcdNS, dst, restore)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if precharge {
+		d.prechargeLocked(bank)
+	}
+	if err := d.activateLocked(bank, row, trcdNS); err != nil {
+		return err
+	}
+	if err := d.readWordLocked(bank, wordIdx, dst); err != nil {
+		return err
+	}
+	return d.writeWordLocked(bank, wordIdx, restore)
 }
 
 // WriteRow writes the full content of (bank, row) directly, bypassing the
@@ -569,7 +698,7 @@ func (d *Device) WriteRow(bank, row int, data []uint64) error {
 	stored := make([]uint64, len(data))
 	copy(stored, data)
 	d.banks[bank].rows[row] = stored
-	d.stats.Writes += int64(d.geom.WordsPerRow())
+	d.stats.Writes += int64(d.wordsPerRow)
 	return nil
 }
 
@@ -630,11 +759,11 @@ func (d *Device) injectFailuresLocked(bank, row, wordIdx int, trcdNS float64, da
 	noise := d.noise.lockWords(bank)
 	defer noise.unlock()
 	for i, col := range info.cols {
-		c := &info.chars[i]
 		stored := getBit(data, col)
-		if !c.VulnerableWhenStoring(stored) {
+		if stored != uint64(info.vulnerable[i]) {
 			continue
 		}
+		c := &info.chars[i]
 		diff := differingNeighbors(data, above, below, col, d.geom.ColsPerRow, stored)
 		fd := &info.firstDraws[i*neighbourCounts+diff]
 		if *fd == 0 {

@@ -466,3 +466,104 @@ func TestBitHelpers(t *testing.T) {
 		t.Error("flipBit failed to clear")
 	}
 }
+
+// sampleByCommands is SampleWord as the four separate commands.
+func sampleByCommands(d *Device, bank, row, wordIdx int, precharge bool, trcdNS float64, dst, restore []uint64) error {
+	if precharge {
+		if err := d.Precharge(bank); err != nil {
+			return err
+		}
+	}
+	if err := d.Activate(bank, row, trcdNS); err != nil {
+		return err
+	}
+	if err := d.ReadWordInto(bank, wordIdx, dst); err != nil {
+		return err
+	}
+	return d.WriteWord(bank, wordIdx, restore)
+}
+
+// TestSampleWordMatchesCommandSequence: on valid arguments SampleWord leaves
+// the same words, row data and counters as Precharge, Activate, ReadWordInto
+// and WriteWord; on invalid ones it returns the sequence's first error
+// without touching any state.
+func TestSampleWordMatchesCommandSequence(t *testing.T) {
+	fused, seq := testDevice(t, 9), testDevice(t, 9)
+	g := fused.Geometry()
+	nw := g.wordU64s()
+	zero := make([]uint64, nw)
+	for i := 0; i < 200; i++ {
+		bank, row, w := i%3, 1+i%7, i%g.WordsPerRow()
+		var got [2][]uint64
+		for k, d := range []*Device{fused, seq} {
+			got[k] = make([]uint64, nw)
+			sample := sampleByCommands
+			if k == 0 {
+				sample = (*Device).SampleWord
+			}
+			if err := sample(d, bank, row, w, i >= 3, 8, got[k], zero); err != nil {
+				t.Fatalf("sample %d on device %d: %v", i, k, err)
+			}
+		}
+		for j := range got[0] {
+			if got[0][j] != got[1][j] {
+				t.Fatalf("sample %d: SampleWord read %x, the command sequence %x", i, got[0], got[1])
+			}
+		}
+	}
+	if fused.Stats() != seq.Stats() || fused.Stats().InjectedFlips == 0 {
+		t.Fatalf("stats %+v, command sequence %+v (want equal, with flips)", fused.Stats(), seq.Stats())
+	}
+	for bank := 0; bank < 3; bank++ {
+		for row := 0; row < 9; row++ {
+			a, _ := fused.ReadRowRaw(bank, row)
+			b, _ := seq.ReadRowRaw(bank, row)
+			for j := range a {
+				if a[j] != b[j] {
+					t.Fatalf("bank %d row %d differs after sampling", bank, row)
+				}
+			}
+		}
+	}
+
+	dst, restore := make([]uint64, nw), make([]uint64, nw)
+	bad := []struct {
+		name               string
+		bank, row, wordIdx int
+		trcdNS             float64
+		dst, restore       []uint64
+	}{
+		{"negative bank", -1, 0, 0, 8, dst, restore},
+		{"bank out of range", g.Banks, 0, 0, 8, dst, restore},
+		{"row out of range", 0, g.RowsPerBank, 0, 8, dst, restore},
+		{"zero tRCD", 0, 0, 0, 0, dst, restore},
+		{"word out of range", 0, 0, g.WordsPerRow(), 8, dst, restore},
+		{"short destination", 0, 0, 0, 8, dst[:1], restore},
+		{"short restore", 0, 0, 0, 8, dst, restore[:1]},
+		{"row already open", 1, 0, 0, 8, dst, restore},
+	}
+	for _, tc := range bad {
+		// The command sequence may open bank 0 before it fails; start every
+		// case from bank 0 closed and row 5 open in bank 1.
+		for _, d := range []*Device{fused, seq} {
+			if err := d.Precharge(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Precharge(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Activate(1, 5, 18); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := fused.Stats()
+		errFused := fused.SampleWord(tc.bank, tc.row, tc.wordIdx, false, tc.trcdNS, tc.dst, tc.restore)
+		errSeq := sampleByCommands(seq, tc.bank, tc.row, tc.wordIdx, false, tc.trcdNS, tc.dst, tc.restore)
+		if errFused == nil || errSeq == nil || errFused.Error() != errSeq.Error() {
+			t.Errorf("%s: SampleWord error %v, command sequence %v", tc.name, errFused, errSeq)
+		}
+		if after := fused.Stats(); after != before {
+			t.Errorf("%s: rejected SampleWord changed the stats %+v -> %+v", tc.name, before, after)
+		}
+	}
+}

@@ -6,7 +6,8 @@
 //
 // The controller issues commands in program order at the earliest legal
 // cycle, which models the firmware sampling routine of Section 6.3: a simple
-// loop that interleaves accesses across banks.
+// loop that interleaves accesses across banks. SamplePhase issues one phase
+// of that loop at once; the per-command methods serve characterization.
 package memctrl
 
 import (
@@ -48,20 +49,28 @@ func WithRefresh() Option {
 type Controller struct {
 	dev    device.Device
 	params timing.Params
+	// reader and sampler are dev's optional fast paths, asserted once; nil
+	// when dev does not offer them.
+	reader  device.WordReaderInto
+	sampler device.WordSampler
 
 	// Cached cycle conversions of the rank-level constraints (Params
 	// conversions copy the parameter struct per call — too costly per
 	// sampled word).
 	cTRRD, cTFAW, cBurst, cTCWL int64
-	// rowsPerBank is cached from the device geometry, which is fetched
-	// through the device interface.
-	rowsPerBank int
+	// The geometry is fetched through the device interface, so the figures
+	// the per-command checks need are cached.
+	rowsPerBank, wordsPerRow, wordU64s int
 
 	// reducedTRCDNS is the programmed activation latency override in
 	// nanoseconds; 0 means the JEDEC default applies.
 	reducedTRCDNS float64
 
 	banks []*timing.BankFSM
+	// phase records, per bank, what the running SamplePhase issued at the
+	// bank's ACT slot; phaseGen numbers SamplePhase calls.
+	phase    []phaseSlot
+	phaseGen uint64
 
 	now     int64
 	lastACT int64
@@ -92,9 +101,14 @@ func NewController(dev device.Device, opts ...Option) *Controller {
 		cBurst:      p.BurstCycles(),
 		cTCWL:       p.Cycles(p.TCWL),
 		rowsPerBank: g.RowsPerBank,
+		wordsPerRow: g.WordsPerRow(),
+		wordU64s:    g.WordBits / 64,
 		banks:       make([]*timing.BankFSM, g.Banks),
+		phase:       make([]phaseSlot, g.Banks),
 		lastACT:     -1 << 60,
 	}
+	c.reader, _ = dev.(device.WordReaderInto)
+	c.sampler, _ = dev.(device.WordSampler)
 	for i := range c.banks {
 		c.banks[i] = timing.NewBankFSM(p)
 		// A controller takes over a device assuming every bank is
@@ -196,15 +210,23 @@ func (c *Controller) checkBank(bank int) error {
 	return nil
 }
 
+// refreshDue reports whether a periodic refresh is pending.
+func (c *Controller) refreshDue() bool {
+	return c.refreshEnabled && c.now >= c.nextRefresh
+}
+
 // maybeRefresh issues a pending refresh if one is due. All banks are
 // precharged first.
 func (c *Controller) maybeRefresh() error {
-	if !c.refreshEnabled || c.now < c.nextRefresh {
+	if !c.refreshDue() {
 		return nil
 	}
 	for bank := range c.banks {
 		if c.banks[bank].OpenRow() >= 0 {
-			if err := c.prechargeAt(bank, c.earliestFor(c.banks[bank].EarliestPRE())); err != nil {
+			if err := c.issuePRE(bank, c.banks[bank].EarliestPRE()); err != nil {
+				return err
+			}
+			if err := c.dev.Precharge(bank); err != nil {
 				return err
 			}
 		}
@@ -240,9 +262,14 @@ func (c *Controller) earliestFor(e int64) int64 {
 	return e
 }
 
-// activateAt issues an ACT to (bank, row) at the earliest legal cycle,
-// honouring tRRD and tFAW across banks. It returns the issue cycle.
-func (c *Controller) activateAt(bank, row int) (int64, error) {
+// The issue* methods are the timing half of each command: they pick the
+// earliest legal issue cycle and apply the command to the bank state
+// machine, the rank and data-bus bookkeeping, the counters, the trace and
+// the clock. Their callers hand the device its half.
+
+// issueACT issues an ACT to (bank, row), honouring tRRD and tFAW across
+// banks.
+func (c *Controller) issueACT(bank, row int) error {
 	b := c.banks[bank]
 	issue := c.earliestFor(b.EarliestACT())
 	if t := c.lastACT + c.cTRRD; t > issue {
@@ -255,34 +282,73 @@ func (c *Controller) activateAt(bank, row int) (int64, error) {
 			issue = t
 		}
 	}
-	trcd := c.reducedTRCDNS
-	if _, err := b.Activate(issue, row, trcd); err != nil {
-		return 0, err
-	}
-	if err := c.dev.Activate(bank, row, c.EffectiveTRCD()); err != nil {
-		return 0, err
+	if _, err := b.Activate(issue, row, c.reducedTRCDNS); err != nil {
+		return err
 	}
 	c.lastACT = issue
 	c.recentACTs[c.actCount&3] = issue
 	c.actCount++
 	c.record(timing.CmdACT, bank, row, -1, issue)
 	c.now = issue + 1
-	return issue, nil
+	return nil
 }
 
-// prechargeAt issues a PRE to bank at the earliest legal cycle.
-func (c *Controller) prechargeAt(bank int, earliest int64) error {
-	b := c.banks[bank]
+// issuePRE issues a PRE to bank no earlier than cycle earliest.
+func (c *Controller) issuePRE(bank int, earliest int64) error {
 	issue := c.earliestFor(earliest)
-	if _, err := b.Precharge(issue); err != nil {
-		return err
-	}
-	if err := c.dev.Precharge(bank); err != nil {
+	if _, err := c.banks[bank].Precharge(issue); err != nil {
 		return err
 	}
 	c.record(timing.CmdPRE, bank, -1, -1, issue)
 	c.now = issue + 1
 	return nil
+}
+
+// issueRD issues a READ of (bank, row, wordIdx) and returns the cycle at
+// which its data burst completes on the data bus.
+func (c *Controller) issueRD(bank, row, wordIdx int) (int64, error) {
+	b := c.banks[bank]
+	issue := c.earliestFor(b.EarliestRead())
+	done, viol, err := b.Read(issue)
+	if err != nil {
+		return 0, err
+	}
+	if viol != nil && !viol.Intentional() {
+		return 0, viol
+	}
+	if viol != nil {
+		c.stats.TRCDViolations++
+	}
+	if c.reducedTRCDNS > 0 {
+		c.stats.TRCDViolations++
+	}
+	if done < c.busBusyUntil+c.cBurst {
+		done = c.busBusyUntil + c.cBurst
+	}
+	c.busBusyUntil = done
+	c.stats.DataBusCycles += c.cBurst
+	c.record(timing.CmdRead, bank, row, wordIdx, issue)
+	c.now = issue + 1
+	return done, nil
+}
+
+// issueWR issues a WRITE of (bank, row, wordIdx) and returns the cycle at
+// which write recovery completes.
+func (c *Controller) issueWR(bank, row, wordIdx int) (int64, error) {
+	b := c.banks[bank]
+	issue := c.earliestFor(b.EarliestWrite())
+	done, viol, err := b.Write(issue)
+	if err != nil {
+		return 0, err
+	}
+	if viol != nil && !viol.Intentional() {
+		return 0, viol
+	}
+	c.busBusyUntil = issue + c.cTCWL + c.cBurst
+	c.stats.DataBusCycles += c.cBurst
+	c.record(timing.CmdWrite, bank, row, wordIdx, issue)
+	c.now = issue + 1
+	return done, nil
 }
 
 // PrechargeBank closes the open row of bank (no-op when already closed).
@@ -294,7 +360,10 @@ func (c *Controller) PrechargeBank(bank int) error {
 	if b.OpenRow() < 0 {
 		return nil
 	}
-	return c.prechargeAt(bank, b.EarliestPRE())
+	if err := c.issuePRE(bank, b.EarliestPRE()); err != nil {
+		return err
+	}
+	return c.dev.Precharge(bank)
 }
 
 // openRowFor ensures row is open in bank, precharging any other open row and
@@ -309,12 +378,17 @@ func (c *Controller) openRowFor(bank, row int) error {
 		return nil
 	}
 	if open >= 0 {
-		if err := c.prechargeAt(bank, b.EarliestPRE()); err != nil {
+		if err := c.issuePRE(bank, b.EarliestPRE()); err != nil {
+			return err
+		}
+		if err := c.dev.Precharge(bank); err != nil {
 			return err
 		}
 	}
-	_, err := c.activateAt(bank, row)
-	return err
+	if err := c.issueACT(bank, row); err != nil {
+		return err
+	}
+	return c.dev.Activate(bank, row, c.EffectiveTRCD())
 }
 
 // ActivateRow ensures row is open in bank, precharging any other open row
@@ -338,7 +412,7 @@ func (c *Controller) ActivateRow(bank, row int) error {
 // the first word read after the activation). It returns the word and the
 // cycle at which the data burst completes on the data bus.
 func (c *Controller) ReadWord(bank, row, wordIdx int) ([]uint64, int64, error) {
-	data := make([]uint64, c.dev.Geometry().WordBits/64)
+	data := make([]uint64, c.wordU64s)
 	done, err := c.ReadWordInto(bank, row, wordIdx, data)
 	if err != nil {
 		return nil, 0, err
@@ -356,45 +430,30 @@ func (c *Controller) ReadWordInto(bank, row, wordIdx int, dst []uint64) (int64, 
 	if err := c.checkBank(bank); err != nil {
 		return 0, err
 	}
-	if err := c.openRowFor(bank, row); err != nil {
-		return 0, err
+	if c.banks[bank].OpenRow() != row || c.refreshDue() {
+		if err := c.openRowFor(bank, row); err != nil {
+			return 0, err
+		}
 	}
-	b := c.banks[bank]
-	issue := c.earliestFor(b.EarliestRead())
-	done, viol, err := b.Read(issue)
+	done, err := c.issueRD(bank, row, wordIdx)
 	if err != nil {
 		return 0, err
 	}
-	if viol != nil && !viol.Intentional() {
-		return 0, viol
-	}
-	if viol != nil {
-		c.stats.TRCDViolations++
-	}
-	if c.reducedTRCDNS > 0 {
-		c.stats.TRCDViolations++
-	}
-	if err := readWordInto(c.dev, bank, wordIdx, dst); err != nil {
+	if err := c.readWord(bank, wordIdx, dst); err != nil {
 		return 0, err
 	}
-	if done < c.busBusyUntil+c.cBurst {
-		done = c.busBusyUntil + c.cBurst
-	}
-	c.busBusyUntil = done
-	c.stats.DataBusCycles += c.cBurst
-	c.record(timing.CmdRead, bank, row, wordIdx, issue)
-	c.now = issue + 1
 	return done, nil
 }
 
-// readWordInto reads a device word into dst, using the device's
-// allocation-free fast path when it offers one (the capability is optional so
-// wrapping backends — replay, fault injection — keep working unchanged).
-func readWordInto(dev device.Device, bank, wordIdx int, dst []uint64) error {
-	if fast, ok := dev.(device.WordReaderInto); ok {
-		return fast.ReadWordInto(bank, wordIdx, dst)
+// readWord hands the device a READ of word wordIdx of bank's open row into
+// dst, through the device's allocation-free fast path when it offers one
+// (the capability is optional so wrapping backends — replay, fault
+// injection — keep working unchanged).
+func (c *Controller) readWord(bank, wordIdx int, dst []uint64) error {
+	if c.reader != nil {
+		return c.reader.ReadWordInto(bank, wordIdx, dst)
 	}
-	data, err := dev.ReadWord(bank, wordIdx)
+	data, err := c.dev.ReadWord(bank, wordIdx)
 	if err != nil {
 		return err
 	}
@@ -410,26 +469,133 @@ func (c *Controller) WriteWord(bank, row, wordIdx int, word []uint64) (int64, er
 	if err := c.checkBank(bank); err != nil {
 		return 0, err
 	}
-	if err := c.openRowFor(bank, row); err != nil {
-		return 0, err
+	if c.banks[bank].OpenRow() != row || c.refreshDue() {
+		if err := c.openRowFor(bank, row); err != nil {
+			return 0, err
+		}
 	}
-	b := c.banks[bank]
-	issue := c.earliestFor(b.EarliestWrite())
-	done, viol, err := b.Write(issue)
+	done, err := c.issueWR(bank, row, wordIdx)
 	if err != nil {
 		return 0, err
-	}
-	if viol != nil && !viol.Intentional() {
-		return 0, viol
 	}
 	if err := c.dev.WriteWord(bank, wordIdx, word); err != nil {
 		return 0, err
 	}
-	c.busBusyUntil = issue + c.cTCWL + c.cBurst
-	c.stats.DataBusCycles += c.cBurst
-	c.record(timing.CmdWrite, bank, row, wordIdx, issue)
-	c.now = issue + 1
 	return done, nil
+}
+
+// SampleOp is one word of a SamplePhase: the DRAM word (Bank, Row, Word), the
+// buffer Dst its reduced-latency read lands in, and the value Restore written
+// back after the read. Both buffers hold WordBits/64 uint64s.
+type SampleOp struct {
+	Bank, Row, Word int
+	Dst, Restore    []uint64
+}
+
+// phaseSlot is what one SamplePhase call issued at a bank's ACT slot.
+type phaseSlot struct {
+	gen       uint64 // the SamplePhase call that claimed the bank
+	fused     bool   // an ACT was issued and the device takes it as SampleWord
+	precharge bool   // a PRE closing the bank's other row preceded the ACT
+}
+
+// SamplePhase issues one Algorithm 2 half-iteration over ops, which must name
+// different banks: an ACT for every op, preceded by the PRE that closes the
+// bank's other open row (neither when the op's row is already open), then a
+// READ of every op's word into its Dst, then a WRITE of every op's Restore,
+// each in op order. Every command gets the issue cycle, bank-state update,
+// tRRD/tFAW and data-bus bookkeeping, counters and trace record the
+// per-command methods give it, so the banks' activation latencies overlap. A
+// due refresh is issued once, at the phase start, so none can fall between an
+// op's ACT and its READ. Every op is validated before any command issues.
+//
+// The device sees the same commands in the same order. When it implements
+// device.WordSampler, an op that issued an ACT reaches it as one SampleWord
+// call at the op's READ slot, so a noise stream shared across banks is drawn
+// in op order either way; every other command reaches the device at its own
+// slot, as the per-command methods hand it over.
+//
+//drange:noalloc
+func (c *Controller) SamplePhase(ops []SampleOp) error {
+	c.phaseGen++
+	for i := range ops {
+		op := &ops[i]
+		if err := c.checkBank(op.Bank); err != nil {
+			return err
+		}
+		if op.Row < 0 || op.Row >= c.rowsPerBank {
+			return fmt.Errorf("memctrl: row %d out of range [0,%d)", op.Row, c.rowsPerBank)
+		}
+		if op.Word < 0 || op.Word >= c.wordsPerRow {
+			return fmt.Errorf("memctrl: word %d out of range [0,%d)", op.Word, c.wordsPerRow)
+		}
+		if len(op.Dst) != c.wordU64s || len(op.Restore) != c.wordU64s {
+			return fmt.Errorf("memctrl: sample buffers hold %d and %d uint64s, want %d", len(op.Dst), len(op.Restore), c.wordU64s)
+		}
+		s := &c.phase[op.Bank]
+		if s.gen == c.phaseGen {
+			return fmt.Errorf("memctrl: bank %d sampled twice in one phase", op.Bank)
+		}
+		*s = phaseSlot{gen: c.phaseGen}
+	}
+	if err := c.maybeRefresh(); err != nil {
+		return err
+	}
+	for i := range ops {
+		op := &ops[i]
+		b, s := c.banks[op.Bank], &c.phase[op.Bank]
+		open := b.OpenRow()
+		if open == op.Row {
+			continue
+		}
+		if open >= 0 {
+			if err := c.issuePRE(op.Bank, b.EarliestPRE()); err != nil {
+				return err
+			}
+			s.precharge = true
+			if c.sampler == nil {
+				if err := c.dev.Precharge(op.Bank); err != nil {
+					return err
+				}
+			}
+		}
+		if err := c.issueACT(op.Bank, op.Row); err != nil {
+			return err
+		}
+		s.fused = c.sampler != nil
+		if !s.fused {
+			if err := c.dev.Activate(op.Bank, op.Row, c.EffectiveTRCD()); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range ops {
+		op := &ops[i]
+		if _, err := c.issueRD(op.Bank, op.Row, op.Word); err != nil {
+			return err
+		}
+		var err error
+		if s := &c.phase[op.Bank]; s.fused {
+			err = c.sampler.SampleWord(op.Bank, op.Row, op.Word, s.precharge, c.EffectiveTRCD(), op.Dst, op.Restore)
+		} else {
+			err = c.readWord(op.Bank, op.Word, op.Dst)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	for i := range ops {
+		op := &ops[i]
+		if _, err := c.issueWR(op.Bank, op.Row, op.Word); err != nil {
+			return err
+		}
+		if !c.phase[op.Bank].fused {
+			if err := c.dev.WriteWord(op.Bank, op.Word, op.Restore); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // RefreshRow restores the charge of every cell in (bank, row) by activating
