@@ -79,7 +79,7 @@ func main() {
 		out           = flag.String("out", "", "write raw bytes to this file instead of hex to stdout")
 		deterministic = flag.Bool("deterministic", false, "use a seeded noise source (reproducible output, NOT for keys)")
 		parallel      = flag.Int("parallel", 0, "harvest with a sharded engine using this many parallel controllers per device, clamped to the bank count (0 selects 1)")
-		devices       = flag.Int("devices", 1, "open a multi-device pool of this many devices (serials serial..serial+N-1, characterized individually)")
+		devices       = flag.Int("devices", 1, "open a multi-device pool of this many devices (serials serial..serial+N-1, characterized individually), with the default online health tests evicting a member that trips them")
 		backend       = flag.String("backend", "", "device backend: sim (default), replay, faulty, or a registered name")
 		tier          = flag.String("tier", "raw", "serving tier: raw (physical harvested bits) or drbg (ChaCha20 DRBG reseeded from the health-screened harvest; implies the online health tests)")
 		jsonOut       = flag.Bool("json", false, "print a JSON report (bytes as hex unless -out, plus aggregate and per-device/per-shard stats) to stdout")
@@ -205,6 +205,9 @@ func main() {
 	var src drange.Source
 	var err error
 	if *devices > 1 {
+		// A pool member that drifts (bias, temperature) or sticks is evicted
+		// by the health tests, and the survivors keep serving.
+		opts = append(opts, drange.WithHealthTests(drange.HealthTestPolicy{}))
 		src, err = drange.OpenPool(ctx, profiles, opts...)
 	} else {
 		src, err = drange.Open(ctx, profiles[0], opts...)

@@ -7,9 +7,10 @@
 //
 // The harness exists to *prove* the health tests catch real failure modes: a
 // healthy device must soak with zero trips, a stuck-column device must trip
-// the RCT/APT on every read, and a pool with a faulty member must evict it
-// while reads keep succeeding — and CI asserts exactly that over this tool's
-// JSON output.
+// the RCT/APT on every read, a pool with a faulty member must evict it while
+// reads keep succeeding, and a member heating past the temperature-drift
+// bound must be evicted by a "temp" trip — and CI asserts exactly that over
+// this tool's JSON output.
 //
 // Profiles are characterized on the pristine simulator; the backend under
 // test is injected at Open, modelling a device that degraded *after*
@@ -21,6 +22,7 @@
 //	drange-soak -duration 10s -backend faulty -startup-bits -1
 //	drange-soak -duration 10s -devices 4 -faulty-member 2 -policy evict
 //	drange-soak -duration 10s -devices 3 -faulty-member 1 -tier drbg  # DRBG tier over a degraded pool
+//	drange-soak -duration 4s -devices 3 -faulty-member 1 -startup-bits -1 -faulty-opt stuck=0 -faulty-opt drift=50
 //	drange-soak -duration 30s -workloads stream-like,gcc-like -out report.json
 package main
 
@@ -66,6 +68,7 @@ type tripReport struct {
 	RCT     int64 `json:"rct"`
 	APT     int64 `json:"apt"`
 	Bias    int64 `json:"bias"`
+	Temp    int64 `json:"temp"`
 	Blocked int64 `json:"blocked_windows"`
 	Total   int64 `json:"total"`
 }
@@ -77,6 +80,7 @@ func (t *tripReport) add(h *drange.HealthStats) {
 	t.RCT += h.RCTTrips
 	t.APT += h.APTTrips
 	t.Bias += h.BiasTrips
+	t.Temp += h.TempTrips
 	t.Blocked += h.BlockedWindows
 	t.Total += h.TotalTrips
 }
@@ -194,7 +198,7 @@ func main() {
 		backend       = flag.String("backend", "", "device backend for every device: sim (default), faulty, or a registered name")
 		tier          = flag.String("tier", "raw", "serving tier: raw (physical harvested bits) or drbg (ChaCha20 DRBG reseeded from the health-screened harvest; implies the online health tests)")
 		faultyMember  = flag.Int("faulty-member", -1, "pool member index opened through the faulty backend (default scenario: every column stuck at 1; override with -faulty-opt)")
-		rechar        = flag.Bool("recharacterize", false, "self-healing pools: quarantine evicted members, re-characterize them in the background and readmit them (WithRecharacterization)")
+		rechar        = flag.Bool("recharacterize", false, "self-healing pools: quarantine evicted members, re-characterize them in the background and readmit them (WithRecharacterization; implies the online health tests)")
 		settle        = flag.Duration("settle", 30*time.Second, "with -recharacterize, how long after the soak budget to wait for quarantined members to finish re-characterizing before the final snapshot")
 		policy        = flag.String("policy", "", "health action on a trip: error, block, evict, or off (default: error; evict for pools)")
 		symbolBits    = flag.Int("symbol-bits", 1, "RCT/APT symbol width in bits")
@@ -240,6 +244,9 @@ func main() {
 	htp, healthOn := healthPolicy(*policy, *symbolBits, *startupBits)
 	if *tier == "drbg" && !healthOn {
 		fatal(fmt.Errorf("-tier drbg requires the health tests (the DRBG expands screened entropy); drop -policy off"))
+	}
+	if *rechar && !healthOn {
+		fatal(fmt.Errorf("-recharacterize requires the health tests (only a health-test trip quarantines a member); drop -policy off"))
 	}
 	// A faulty member or an explicit evict policy forces the pool path even
 	// for one device; resolve the effective trip policy from the same facts

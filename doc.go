@@ -54,12 +54,13 @@
 // # Multi-device pools
 //
 // drange.OpenPool multiplexes one device per profile behind a single Source:
-// every device runs its own sharded engine, a least-loaded scheduler
-// interleaves 64-bit words across the healthy members, and per-device health
-// tracking (bias-drift and temperature-drift monitoring, per the paper's
-// Section 5.3 temperature sensitivity) evicts a degraded device without ever
-// failing readers while a healthy member remains. Stats gains a per-device
-// breakdown (Stats.Devices) on top of the per-shard accounting.
+// every device runs its own sharded engine, and a least-loaded scheduler
+// interleaves 64-bit words across the healthy members. With the online
+// health tests attached (below), each member runs its own monitor, and a
+// member that trips it — a stuck or biased bitstream, or temperature drift
+// per the paper's Section 5.3 — is evicted without ever failing readers
+// while a healthy member remains. Stats gains a per-device breakdown
+// (Stats.Devices) on top of the per-shard accounting.
 //
 // # Serving core
 //
@@ -83,22 +84,29 @@
 //
 // The paper validates output quality offline with the NIST battery and
 // notes RNG cells drift with temperature and aging; drange.WithHealthTests
-// adds the runtime counterpart. Every harvested bit streams through the SP
-// 800-90B continuous health tests — the Repetition Count Test and Adaptive
-// Proportion Test over a configurable symbol width, plus a windowed bias
-// monitor — before it reaches a caller (and before any postprocess chain),
-// and a startup self-test (a fresh RCT/APT/bias pass plus a mini
-// internal/nist battery over the first bits) must pass before Open or
-// OpenPool serves a byte. Trips follow a policy: HealthActionError fails
-// reads with a typed *drange.HealthError, HealthActionBlock stalls until a
-// clean window (bounded), and pools default to HealthActionEvict, feeding
-// the existing per-device eviction so readers never fail while a healthy
-// member remains. Stats.Health (and the per-member
-// PoolDeviceStats.Health) carry the accounting. cmd/drange-soak is the
-// soak/conformance harness: it drives internal/workload request profiles
-// against sim, faulty and pooled sources and emits a JSON report of
-// throughput, trip counts and a NIST summary — CI asserts a healthy soak
-// trips nothing and a stuck-column device trips RCT/APT under every policy.
+// adds the runtime counterpart, and internal/health's Monitor is the one
+// place device-health verdicts come from. Every harvested bit streams
+// through the SP 800-90B continuous health tests — the Repetition Count Test
+// and Adaptive Proportion Test over a configurable symbol width, plus a
+// windowed bias monitor — before it reaches a caller (and before any
+// postprocess chain); each bias window also checks the device's temperature
+// against the baseline taken at open, tripping beyond 10 °C of drift; and a
+// startup self-test (a fresh RCT/APT/bias pass plus a mini internal/nist
+// battery over the first bits) must pass before Open or OpenPool serves a
+// byte. Every trip follows one policy: HealthActionError fails reads with a
+// typed *drange.HealthError, HealthActionBlock stalls until a clean batch
+// (bounded; a bias or temperature trip, which judges a window already
+// served, fails the read or retires the member instead), and pools default
+// to HealthActionEvict, feeding the per-device eviction (or quarantine,
+// under WithRecharacterization) so readers never fail while a healthy
+// member remains. WithDRBG and WithRecharacterization
+// imply the tests; without them no device health is watched. Stats.Health
+// (and the per-member PoolDeviceStats.Health) carry the accounting.
+// cmd/drange-soak is the soak/conformance harness: it drives
+// internal/workload request profiles against sim, faulty and pooled sources
+// and emits a JSON report of throughput, trip counts and a NIST summary — CI
+// asserts a healthy soak trips nothing, a stuck-column device trips RCT/APT
+// under every policy, and a heating pool member is evicted by a temp trip.
 //
 // # Profiles: characterize once, open many
 //

@@ -32,21 +32,23 @@
 // over another backend), selected with WithBackend or injected directly with
 // WithDevice; RegisterBackend adds custom backends. OpenPool multiplexes
 // many devices — one per profile — behind a single Source with per-device
-// sharded engines, least-loaded word scheduling and health tracking that
-// evicts bias- or temperature-drifting devices without failing readers:
+// sharded engines and least-loaded word scheduling; with WithHealthTests it
+// evicts a device that trips its health monitor (RCT, APT, bias or
+// temperature drift) without failing readers:
 //
 //	pool, err := drange.OpenPool(ctx, profiles,
 //	    drange.WithShards(2),                // shards per device
-//	    drange.WithHealth(drange.HealthPolicy{}))
+//	    drange.WithHealthTests(drange.HealthTestPolicy{}))
 //	if err != nil { ... }
 //	defer pool.Close()
 //	st := pool.Stats()                       // st.Devices: per-device breakdown
 //
-// WithHealthTests attaches the SP 800-90B style online health tests
-// (repetition count, adaptive proportion, windowed bias, startup self-test)
-// to any Source: trips fail reads with a typed *HealthError, block until a
-// clean window, or evict the offending pool member, and Stats.Health carries
-// the accounting:
+// WithHealthTests attaches the online health tests — the one source of
+// device-health verdicts: SP 800-90B repetition count and adaptive
+// proportion, windowed bias, temperature drift at each bias window, and a
+// startup self-test — to any Source: trips fail reads with a typed
+// *HealthError, block until a clean window, or evict the offending pool
+// member, and Stats.Health carries the accounting:
 //
 //	src, err := drange.Open(ctx, profile,
 //	    drange.WithHealthTests(drange.HealthTestPolicy{}))  // full default battery
@@ -71,7 +73,7 @@
 // WithRecharacterization turns a pool's member lifecycle from terminal
 // eviction into self-healing. Each member moves through explicit states —
 // serving → quarantined → recharacterizing → readmitting → serving — driven
-// by the health machinery: a drift or health-test trip quarantines the
+// by the health tests, which the lifecycle implies: a trip quarantines the
 // member (its engine stops, its device stays open) and a background
 // recharacterizer re-runs a targeted identification pass over only the banks
 // the member's profile selects, folds the surviving cells into a versioned,
@@ -306,9 +308,8 @@ func Characterize(ctx context.Context, opts ...Option) (*Profile, error) {
 // *Generator, which additionally exposes the profile and the paper's
 // throughput/latency/energy estimators.
 //
-// Open is OpenPool over the one profile: it rejects the pool-only options,
-// disables the pool device-health windows (HealthPolicy) and builds its one
-// member with the constructor OpenPool uses.
+// Open is OpenPool over the one profile: it rejects the pool-only options and
+// builds its one member with the constructor OpenPool uses.
 func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error) {
 	o := buildOptions(opts)
 	if err := o.rejectPoolOnly("Open"); err != nil {
@@ -316,7 +317,6 @@ func Open(ctx context.Context, profile *Profile, opts ...Option) (Source, error)
 	}
 	g := &Generator{}
 	g.single = true
-	g.policy = HealthPolicy{Disabled: true}
 	if err := g.open(ctx, []*Profile{profile}, o); err != nil {
 		return nil, err
 	}

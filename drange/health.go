@@ -15,20 +15,25 @@ const (
 	// HealthActionDefault resolves to HealthActionError on a single Source
 	// and HealthActionEvict on a Pool.
 	HealthActionDefault HealthAction = iota
-	// HealthActionBlock stalls the read: the dirty window is discarded and fresh
-	// bits are harvested until a window passes cleanly (bounded by
-	// HealthTestPolicy.MaxBlockedWindows, after which the read fails with a
-	// HealthError). Readers of a transiently noisy device see latency, never
-	// tainted bits.
+	// HealthActionBlock stalls the read on an RCT or APT trip: the dirty
+	// batch is discarded and fresh bits are harvested until a batch passes
+	// cleanly (bounded by HealthTestPolicy.MaxBlockedWindows, after which the
+	// read fails with a HealthError). Readers of a transiently noisy device
+	// see latency, never tainted bits. A bias or temperature trip judges a
+	// whole bias window whose earlier bits were already served, so discarding
+	// cannot hold it back: under Block it takes the surface's other action —
+	// a Pool retires the member (as HealthActionEvict), a single Source fails
+	// the read (as HealthActionError).
 	HealthActionBlock
 	// HealthActionError fails the read with a *HealthError, leaving the
 	// decision to the caller. The source remains usable; the tripped test
 	// restarts from a clean window.
 	HealthActionError
-	// HealthActionEvict removes the offending device from a Pool via the existing
-	// per-device eviction (reads continue from the surviving members; the
-	// last healthy member is retained with the violation recorded). It only
-	// applies to OpenPool.
+	// HealthActionEvict takes the offending device out of a Pool —
+	// quarantined for re-characterization under WithRecharacterization,
+	// evicted otherwise (reads continue from the surviving members; the last
+	// healthy member is retained with the violation recorded until a clean
+	// window clears it). It only applies to OpenPool.
 	HealthActionEvict
 )
 
@@ -47,12 +52,16 @@ func (a HealthAction) String() string {
 	return fmt.Sprintf("HealthAction(%d)", int(a))
 }
 
-// HealthTestPolicy configures the SP 800-90B style online health tests
-// attached with WithHealthTests: the Repetition Count Test and Adaptive
-// Proportion Test over configurable symbol widths, a windowed bias monitor,
-// and a startup self-test that must pass before Open (or OpenPool) serves a
-// single byte. Zero fields select the documented defaults, so
-// WithHealthTests(HealthTestPolicy{}) enables the full default battery.
+// HealthTestPolicy configures the online health tests attached with
+// WithHealthTests — the one source of device-health verdicts: the SP 800-90B
+// Repetition Count Test and Adaptive Proportion Test over configurable
+// symbol widths, a windowed bias monitor, a temperature-drift check at every
+// bias window (a device more than 10 °C from its open-time or readmission
+// temperature trips "temp"; the paper's Section 5.3 shows RNG cells moving
+// with temperature), and a startup self-test that must pass before Open (or
+// OpenPool) serves a single byte. Every trip follows OnFailure. Zero fields
+// select the documented defaults, so WithHealthTests(HealthTestPolicy{})
+// enables the full default battery.
 type HealthTestPolicy struct {
 	// SymbolBits is the RCT/APT symbol width in [1, 16]; harvested bits are
 	// packed MSB-first. 0 selects 1 (the raw bitstream). Wider symbols catch
@@ -67,9 +76,10 @@ type HealthTestPolicy struct {
 	// the exact critical binomial cutoff at 2^-30.
 	APTWindow int
 	APTCutoff int
-	// BiasWindowBits is the bias monitor's window (0 selects 4096);
-	// MaxBiasDelta trips it when |ones-fraction − 0.5| over a window exceeds
-	// it (0 selects 0.1; negative disables the bias monitor).
+	// BiasWindowBits is the bias monitor's window (0 selects 4096), which
+	// also paces the temperature-drift check; MaxBiasDelta trips the bias
+	// monitor when |ones-fraction − 0.5| over a window exceeds it (0 selects
+	// 0.1; negative disables the bias check, not the temperature check).
 	BiasWindowBits int
 	MaxBiasDelta   float64
 	// StartupBits is the number of bits harvested and self-tested at Open
@@ -122,7 +132,9 @@ func (p HealthTestPolicy) withDefaults(pool bool) HealthTestPolicy {
 	return p
 }
 
-// config maps the policy onto the internal monitor configuration.
+// config maps the policy onto the internal monitor configuration, without a
+// temperature probe: the serving core adds its member's device probe, and
+// the startup self-test runs without one.
 func (p HealthTestPolicy) config() health.Config {
 	return health.Config{
 		SymbolBits:     p.SymbolBits,
@@ -139,7 +151,7 @@ func (p HealthTestPolicy) config() health.Config {
 // budget, or a startup self-test fails at Open/OpenPool). Match it with
 // errors.As.
 type HealthError struct {
-	// Test is the tripped test: "rct", "apt", "bias", "startup" or
+	// Test is the tripped test: "rct", "apt", "bias", "temp", "startup" or
 	// "blocked" (a HealthActionBlock source that never found a clean window).
 	Test string
 	// Device is the pool member index the trip occurred on, or -1 for a
@@ -160,21 +172,27 @@ func (e *HealthError) Error() string {
 
 // HealthStats is the online health-test accounting of a Source, reported in
 // Stats.Health (and per pool member in PoolDeviceStats.Health) when
-// WithHealthTests is attached.
+// WithHealthTests is attached — directly, or implied by WithDRBG or
+// WithRecharacterization. A Pool's aggregate sums the member counts and
+// holds the largest member LongestRun and BiasDelta.
 type HealthStats struct {
 	// SymbolBits is the RCT/APT symbol width in effect.
 	SymbolBits int `json:"symbol_bits"`
 	// BitsTested and SymbolsTested count the stream fed through the tests.
 	BitsTested    int64 `json:"bits_tested"`
 	SymbolsTested int64 `json:"symbols_tested"`
-	// RCTTrips, APTTrips and BiasTrips count trips per test; TotalTrips is
-	// their sum.
+	// RCTTrips, APTTrips, BiasTrips and TempTrips count trips per test;
+	// TotalTrips is their sum.
 	RCTTrips   int64 `json:"rct_trips"`
 	APTTrips   int64 `json:"apt_trips"`
 	BiasTrips  int64 `json:"bias_trips"`
+	TempTrips  int64 `json:"temp_trips"`
 	TotalTrips int64 `json:"total_trips"`
 	// LongestRun is the longest run of identical symbols observed.
 	LongestRun int64 `json:"longest_run"`
+	// BiasDelta is |ones-fraction − 0.5| over the last completed bias
+	// window.
+	BiasDelta float64 `json:"bias_delta"`
 	// BlockedWindows counts dirty batches discarded under HealthActionBlock.
 	BlockedWindows int64 `json:"blocked_windows"`
 	// StartupPassed reports whether the startup self-test passed (true when
@@ -194,8 +212,10 @@ func healthStatsFrom(m *health.Monitor, blockedWindows int64, startupOK bool) *H
 		RCTTrips:       c.RCTTrips,
 		APTTrips:       c.APTTrips,
 		BiasTrips:      c.BiasTrips,
+		TempTrips:      c.TempTrips,
 		TotalTrips:     c.Trips(),
 		LongestRun:     c.LongestRun,
+		BiasDelta:      c.BiasDelta,
 		BlockedWindows: blockedWindows,
 		StartupPassed:  startupOK,
 		LastViolation:  c.LastViolation,
@@ -216,16 +236,18 @@ func runStartup(bits []byte, p HealthTestPolicy, device int) error {
 	return nil
 }
 
-// WithHealthTests attaches the SP 800-90B style online health tests to the
-// opened Source: every harvested bit streams through the Repetition Count
-// Test, the Adaptive Proportion Test and a windowed bias monitor before it
-// reaches the caller (and before any WithPostprocess chain — the tests watch
-// the raw noise source, as SP 800-90B prescribes), and Open/OpenPool run a
-// startup self-test on the first StartupBits bits before serving any byte.
-// The zero policy enables the full default battery; see HealthTestPolicy for
-// the knobs and HealthAction for the trip responses. Health accounting is
-// reported in Stats.Health. It applies to Open and OpenPool, not
-// Characterize.
+// WithHealthTests attaches the online health tests to the opened Source:
+// every harvested bit streams through the Repetition Count Test, the
+// Adaptive Proportion Test and a windowed bias monitor before it reaches the
+// caller (and before any WithPostprocess chain — the tests watch the raw
+// noise source, as SP 800-90B prescribes), each bias window also checks the
+// device's temperature drift, and Open/OpenPool run a startup self-test on
+// the first StartupBits bits before serving any byte. Without it (or
+// WithDRBG or WithRecharacterization, which imply it) no device health is
+// watched, on a Generator and a Pool alike. The zero policy enables the full
+// default battery; see HealthTestPolicy for the knobs and HealthAction for
+// the trip responses. Health accounting is reported in Stats.Health. It
+// applies to Open and OpenPool, not Characterize.
 func WithHealthTests(p HealthTestPolicy) Option {
 	return func(o *options) { o.healthTests = &p }
 }

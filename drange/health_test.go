@@ -114,6 +114,71 @@ func TestHealthBlockPolicy(t *testing.T) {
 	}
 }
 
+// TestHealthBlockWindowVerdicts: discarding the batch that completed a bias
+// window cannot hold back the window's verdict — its earlier batches were
+// served already — so under Block a bias or temperature trip retires a pool
+// member and fails a Generator's read instead of discarding one batch.
+func TestHealthBlockWindowVerdicts(t *testing.T) {
+	block := func(p HealthTestPolicy) HealthTestPolicy {
+		p.OnFailure = HealthActionBlock
+		return p
+	}
+	cases := []struct {
+		test    string
+		backend map[string]string
+		policy  HealthTestPolicy
+	}{
+		// Every column stuck at 1 (maximal bias), RCT/APT out of reach.
+		{"bias", stuckBackendOpts(), block(biasOnly(512, 0.2))},
+		// Heats by 50 °C per 1000 reads but stays unbiased.
+		{"temp", map[string]string{"stuck": "0", "drift": "50"},
+			block(HealthTestPolicy{BiasWindowBits: 512, StartupBits: -1})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.test+"/pool", func(t *testing.T) {
+			pool, err := OpenPool(context.Background(), poolProfiles(t, 2),
+				WithDeviceBackend(1, "faulty", tc.backend), WithHealthTests(tc.policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			buf := make([]byte, 2048)
+			for i := 0; i < 8 && pool.Healthy() == 2; i++ {
+				if _, err := pool.Read(buf); err != nil {
+					t.Fatalf("read %d: %v", i, err)
+				}
+			}
+			d := pool.Stats().Devices[1]
+			if !d.Evicted || !strings.Contains(d.Reason, "health test "+tc.test+" tripped") {
+				t.Errorf("faulty member = %+v, want evicted by a %s trip", d, tc.test)
+			}
+			if d.Health == nil || d.Health.BlockedWindows != 0 {
+				t.Errorf("faulty member health = %+v, want no blocked windows", d.Health)
+			}
+		})
+		t.Run(tc.test+"/generator", func(t *testing.T) {
+			src, err := Open(context.Background(), quickProfile(t),
+				WithBackend("faulty", tc.backend), WithHealthTests(tc.policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			var rerr error
+			buf := make([]byte, 2048)
+			for i := 0; i < 8 && rerr == nil; i++ {
+				_, rerr = src.Read(buf)
+			}
+			var herr *HealthError
+			if !errors.As(rerr, &herr) || herr.Test != tc.test {
+				t.Fatalf("read returned %v, want a *HealthError with Test=%s", rerr, tc.test)
+			}
+			if h := src.Stats().Health; h == nil || h.BlockedWindows != 0 {
+				t.Errorf("health = %+v, want no blocked windows", h)
+			}
+		})
+	}
+}
+
 // TestHealthEvictPolicyInPool: acceptance check for the pool policy — the
 // stuck member is evicted by the health tests while Read keeps succeeding,
 // and the output stays unbiased.

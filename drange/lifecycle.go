@@ -25,7 +25,7 @@ import (
 )
 
 // RecharacterizationPolicy controls the self-healing lifecycle attached with
-// WithRecharacterization. Like HealthPolicy, zero fields take defaults so
+// WithRecharacterization. Like HealthTestPolicy, zero fields take defaults so
 // partial policies stay ergonomic.
 type RecharacterizationPolicy struct {
 	// Rounds is the number of stability rounds of the targeted pass (at
@@ -49,6 +49,23 @@ type RecharacterizationPolicy struct {
 	// Disabled turns the lifecycle off: health violations evict terminally,
 	// as without WithRecharacterization.
 	Disabled bool
+}
+
+// resolveRechar resolves WithRecharacterization. Only a health-test trip
+// quarantines a member, so the lifecycle implies the default health tests
+// when none are given and rejects an explicitly Disabled policy, as WithDRBG
+// does.
+func (o *options) resolveRechar() (RecharacterizationPolicy, bool, error) {
+	if o.rechar == nil || o.rechar.Disabled {
+		return RecharacterizationPolicy{}, false, nil
+	}
+	if o.healthTests != nil && o.healthTests.Disabled {
+		return RecharacterizationPolicy{}, false, fmt.Errorf("drange: WithRecharacterization requires the online health tests (only a health-test trip quarantines a member); remove the Disabled health-test policy or disable the lifecycle")
+	}
+	if o.healthTests == nil {
+		o.healthTests = &HealthTestPolicy{}
+	}
+	return o.rechar.withDefaults(), true, nil
 }
 
 func (p RecharacterizationPolicy) withDefaults() RecharacterizationPolicy {
@@ -147,11 +164,12 @@ func (c *servingCore) recharacterizeProfile(ctx context.Context, m *servingMembe
 		return nil, err
 	}
 	// The acceptance band re-admits cells still behaving as they were
-	// originally accepted: within the characterization tolerance around 0.5.
-	// Narrow tolerances are widened to at least the paper's Section 5.2
-	// working band of 0.5 ± 0.1 — tighter bands are unresolvable over a
-	// handful of 60-iteration rounds.
-	band := prof.Characterization.Tolerance
+	// originally accepted: a failure probability within the
+	// characterization's MaxBiasDelta of 0.5 (Tolerance bounds symbol counts,
+	// not the failure probability). Narrow bounds are widened to the paper's
+	// Section 5.2 working band of 0.5 ± 0.1 — tighter bands are unresolvable
+	// over a handful of 60-iteration rounds.
+	band := prof.Characterization.MaxBiasDelta
 	if band < 0.1 {
 		band = 0.1
 	}
@@ -255,20 +273,16 @@ func symbolEntropy3(p float64) float64 {
 }
 
 // readmit builds a fresh engine over m's re-characterized profile, self-tests
-// it when health tests are attached, and swaps it into the member — the hot
+// it unless startup tests are off, and swaps it into the member — the hot
 // profile swap. The engine build and startup test run off-lock (they read the
-// device, not pool state); only the swap itself holds mu. Publication order
-// matters for the lock-free fast path: the fresh engine is stored in fastEng
-// before the serving state, so a reader that observes the member serving
-// always loads the engine that state belongs to.
+// device, not pool state); only the swap itself holds mu.
 func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) error {
 	eng, sels, err := c.buildEngine(m, prof)
 	if err != nil {
 		return err
 	}
 	m.state.Store(int32(memberReadmitting))
-	tested := false
-	if c.testsEnabled && c.testsPolicy.StartupBits > 0 {
+	if c.testsPolicy.StartupBits > 0 {
 		sample, err := eng.ReadBits(c.testsPolicy.StartupBits)
 		if err == nil {
 			err = runStartup(sample, c.testsPolicy, m.idx)
@@ -277,7 +291,6 @@ func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) 
 			eng.Close()
 			return fmt.Errorf("readmission startup health test: %w", err)
 		}
-		tested = true
 	}
 
 	c.mu.Lock()
@@ -289,20 +302,16 @@ func (c *servingCore) readmit(m *servingMember, prof *Profile, start time.Time) 
 	m.profile = prof
 	m.eng, m.sels = eng, sels
 	m.cur, m.curBits = 0, 0
-	m.win.Store(0)
-	m.biasDelta = 0
-	// The re-characterized operating point is the new health baseline: bias
-	// windows restart clean and temperature drift is measured from now.
-	m.baseTempC = m.pub.Temperature()
-	if m.monitor != nil {
-		m.monitor.Reset()
-		m.startupOK = tested || !c.testsEnabled
-	}
+	// The re-characterized operating point is the new health baseline: the
+	// monitor's windows restart clean and temperature drift is measured from
+	// now. startupOK keeps the value open gave it: the member passed its
+	// readmission startup test, or startup tests are off.
+	m.monitor.Reset()
+	m.monitor.Rebaseline()
 	m.reason = ""
 	m.readmissions++
 	m.lastRecharMS = float64(time.Since(start)) / float64(time.Millisecond)
 	m.recharAttempts = 0
-	m.fastEng.Store(eng)
 	m.state.Store(int32(memberServing))
 	// Re-arm the member's DRBG best-effort: a reseed folds fresh screened
 	// entropy from the rebuilt engine into the existing state; a member that

@@ -93,8 +93,10 @@ func waitReadmitted(t *testing.T, p *Pool, idx int, timeout time.Duration) PoolD
 // TestPoolReadmitUnderConcurrentReads cycles a member through
 // quarantine → re-characterization → readmission while 8 goroutines read the
 // pool continuously. No read may fail at any point in the cycle, and the
-// member must come back serving with a profile delta. Run under -race this
-// also pins the readmission publication order (fastEng before state).
+// member must come back serving with a profile delta. The lifecycle implies
+// the default health tests, so the readmitted engine also passes the startup
+// self-test. Run under -race this also pins the readmission swap against the
+// concurrent readers.
 func TestPoolReadmitUnderConcurrentReads(t *testing.T) {
 	profiles := lifecycleProfiles(t, 3)
 	pool, err := OpenPool(context.Background(), profiles,
@@ -266,6 +268,53 @@ func TestReadmitResumesDeterministicStream(t *testing.T) {
 	}
 	if pa.Checksum != pb.Checksum {
 		t.Errorf("readmitted profiles diverge: %s vs %s", pa.Checksum, pb.Checksum)
+	}
+}
+
+// TestReadmitKeepsStartupPassedWithoutStartupTest is the regression test for
+// a readmitted member reporting a failed startup self-test that never ran:
+// with startup tests off, StartupPassed must stay true across the cycle, on
+// the member and in the aggregate.
+func TestReadmitKeepsStartupPassedWithoutStartupTest(t *testing.T) {
+	pool, err := OpenPool(context.Background(), lifecycleProfiles(t, 3),
+		WithRecharacterization(quickRecharPolicy()),
+		WithHealthTests(noStartup(HealthTestPolicy{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	startupPassed := func(when string) {
+		t.Helper()
+		st := pool.Stats()
+		if h := st.Devices[1].Health; h == nil || !h.StartupPassed {
+			t.Errorf("%s: member 1 health = %+v, want StartupPassed", when, h)
+		}
+		if st.Health == nil || !st.Health.StartupPassed {
+			t.Errorf("%s: aggregate health = %+v, want StartupPassed", when, st.Health)
+		}
+	}
+	startupPassed("before quarantine")
+	forceQuarantine(t, pool, 1, "test: forced bias drift")
+	waitReadmitted(t, pool, 1, 2*time.Minute)
+	startupPassed("after readmission")
+}
+
+// TestRecharacterizationImpliesHealthTests: only a health-test trip
+// quarantines a member, so the lifecycle attaches the default battery when
+// no health-test policy is given.
+func TestRecharacterizationImpliesHealthTests(t *testing.T) {
+	pool, err := OpenPool(context.Background(), lifecycleProfiles(t, 2),
+		WithRecharacterization(quickRecharPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if _, err := pool.Read(make([]byte, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	st := pool.Stats()
+	if st.Health == nil || !st.Health.StartupPassed || st.Health.BitsTested < 1024*8 {
+		t.Errorf("health stats = %+v, want the implied default battery over every read bit", st.Health)
 	}
 }
 

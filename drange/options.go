@@ -36,7 +36,6 @@ type options struct {
 	backend        *backendSpec
 	device         Device
 	deviceBackends map[int]backendSpec
-	health         *HealthPolicy
 	healthTests    *HealthTestPolicy
 	drbg           *DRBGPolicy
 	rechar         *RecharacterizationPolicy
@@ -199,19 +198,15 @@ func WithDeviceBackend(index int, name string, params map[string]string) Option 
 	}
 }
 
-// WithHealth sets the pool's device-health policy (bias-drift and
-// temperature-drift eviction); see HealthPolicy for the defaults applied to
-// zero fields. It only applies to OpenPool.
-func WithHealth(p HealthPolicy) Option {
-	return func(o *options) { o.health = &p }
-}
-
 // WithRecharacterization turns a pool's health evictions into a self-healing
 // lifecycle: instead of leaving the pool forever, a member tripping the
-// health policy is quarantined, re-characterized in the background over the
+// health tests is quarantined, re-characterized in the background over the
 // drifted banks, and readmitted with a hot profile swap while the remaining
-// members keep serving. See RecharacterizationPolicy for the defaults
-// applied to zero fields. It only applies to OpenPool.
+// members keep serving. Only a health-test trip quarantines a member, so the
+// lifecycle implies WithHealthTests(HealthTestPolicy{}) when no health-test
+// policy is given, and rejects an explicitly Disabled one. See
+// RecharacterizationPolicy for the defaults applied to zero fields. It only
+// applies to OpenPool.
 func WithRecharacterization(p RecharacterizationPolicy) Option {
 	return func(o *options) { o.rechar = &p }
 }
@@ -229,9 +224,6 @@ func copyParams(params map[string]string) map[string]string {
 
 // rejectPoolOnly errors when pool-only options reach Characterize or Open.
 func (o *options) rejectPoolOnly(fn string) error {
-	if o.health != nil {
-		return fmt.Errorf("drange: WithHealth applies to OpenPool, not %s", fn)
-	}
 	if len(o.deviceBackends) > 0 {
 		return fmt.Errorf("drange: WithDeviceBackend applies to OpenPool, not %s", fn)
 	}

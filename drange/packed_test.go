@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -159,14 +161,14 @@ func TestPoolReadBitsInterleavedWithRead(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentReadWithEviction stresses the lock-free Read fast path
-// under the race detector while a faulty member is evicted mid-traffic: no
-// read may fail, and the faulty member must go.
+// TestPoolConcurrentReadWithEviction stresses the monitored (locked) read
+// path under the race detector while a faulty member is bias-evicted
+// mid-traffic: no read may fail, and the faulty member must go.
 func TestPoolConcurrentReadWithEviction(t *testing.T) {
 	profiles := poolProfiles(t, 4)
 	pool, err := OpenPool(context.Background(), profiles,
 		WithDeviceBackend(1, "faulty", map[string]string{"stuck": "1", "stuck-value": "1"}),
-		WithHealth(HealthPolicy{WindowBits: 512, MaxBiasDelta: 0.2}),
+		WithHealthTests(biasOnly(512, 0.2)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +194,72 @@ func TestPoolConcurrentReadWithEviction(t *testing.T) {
 		t.Fatalf("healthy = %d after concurrent eviction, want 3 (%+v)", pool.Healthy(), pool.Stats().Devices)
 	}
 	d := pool.Stats().Devices[1]
-	if !d.Evicted || !strings.Contains(d.Reason, "bias drift") {
+	if !d.Evicted || !strings.Contains(d.Reason, "health test bias tripped") {
 		t.Errorf("faulty member not bias-evicted: %+v", d)
+	}
+}
+
+// TestPoolConcurrentFastPathEviction stresses the lock-free Read fast path
+// under the race detector: 8 readers keep reading an unmonitored 4-member
+// pool while one member's engine is closed under them. No read may fail,
+// and the member must be evicted for its engine failure.
+func TestPoolConcurrentFastPathEviction(t *testing.T) {
+	pool, err := OpenPool(context.Background(), poolProfiles(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	var reads atomic.Int64
+	var failed atomic.Bool
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 256)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := pool.Read(buf); err != nil {
+					t.Errorf("concurrent read during eviction: %v", err)
+					failed.Store(true)
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	// waitFor polls cond until it holds, a reader fails or a minute passes.
+	waitFor := func(cond func() bool) {
+		deadline := time.Now().Add(time.Minute)
+		for !cond() && !failed.Load() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitReads := func(n int64) { waitFor(func() bool { return reads.Load() >= n }) }
+	waitReads(32)
+	pool.mu.Lock()
+	eng := pool.members[1].eng
+	pool.mu.Unlock()
+	eng.Close()
+	// Keep the readers going until the least-loaded scheduler has run the
+	// closed engine dry and evicted the member, and then some.
+	waitFor(func() bool { return pool.Healthy() < 4 })
+	waitReads(reads.Load() + 32)
+	close(stop)
+	wg.Wait()
+
+	if pool.Healthy() != 3 {
+		t.Fatalf("healthy = %d after the engine failure, want 3 (%+v)", pool.Healthy(), pool.Stats().Devices)
+	}
+	d := pool.Stats().Devices[1]
+	if !d.Evicted || !strings.Contains(d.Reason, "engine failure") {
+		t.Errorf("member with the closed engine: %+v, want an engine-failure eviction", d)
 	}
 }
 

@@ -5,59 +5,13 @@ import (
 	"fmt"
 )
 
-// HealthPolicy controls a pool's per-device health tracking. D-RaNGe's
-// output quality rests on RNG cells staying unbiased at the characterized
-// operating point; the paper's temperature study (Section 5.3) shows failure
-// probabilities drift as the device leaves that point. A pool therefore
-// monitors each device's harvested bitstream for bias drift and its reported
-// temperature for drift away from the open-time baseline, and evicts devices
-// that cross the limits so one bad chip cannot poison the aggregate stream.
-type HealthPolicy struct {
-	// WindowBits is the number of freshly harvested bits per device over
-	// which bias is measured; at each full window the ones-fraction is
-	// compared against one half. 0 selects 4096 (the binomial standard
-	// deviation of the ones-fraction at 4096 bits is ~0.008, so the default
-	// MaxBiasDelta of 0.1 sits ~13 sigma out — unreachable by healthy noise).
-	WindowBits int
-	// MaxBiasDelta is the eviction threshold for |ones-fraction − 0.5| over
-	// a window. 0 selects 0.1; negative disables bias eviction. Unlike the
-	// functional options, this config struct keeps zero-means-default
-	// semantics so partial policies stay ergonomic; a strict
-	// evict-on-any-measured-bias policy is any positive value below the
-	// window's resolution (e.g. 0.5/WindowBits).
-	MaxBiasDelta float64
-	// MaxTempDriftC is the eviction threshold for the absolute temperature
-	// drift (°C) from the device's open-time baseline, checked at every
-	// window boundary. 0 selects 10; negative disables temperature eviction.
-	MaxTempDriftC float64
-	// Disabled turns all health tracking off.
-	Disabled bool
-}
-
-func (p HealthPolicy) withDefaults() HealthPolicy {
-	if p.WindowBits == 0 {
-		p.WindowBits = 4096
-	}
-	// The window accumulator packs (ones, bits) into one 64-bit atomic with
-	// 32 bits each; clamp absurd windows so the packing cannot overflow.
-	if p.WindowBits > 1<<30 {
-		p.WindowBits = 1 << 30
-	}
-	if p.MaxBiasDelta == 0 {
-		p.MaxBiasDelta = 0.1
-	}
-	if p.MaxTempDriftC == 0 {
-		p.MaxTempDriftC = 10
-	}
-	return p
-}
-
 // Pool is the multi-device Source returned by OpenPool. It multiplexes N
 // devices — each with its own profile, backend and sharded harvesting engine
 // — behind the ordinary Source interface, scheduling 64-bit word fetches to
-// the least-loaded healthy device, tracking per-device health (bias and
-// temperature drift per HealthPolicy) and evicting unhealthy devices without
-// failing readers as long as one healthy device remains.
+// the least-loaded healthy device. With WithHealthTests each device runs its
+// own health monitor (RCT, APT, bias and temperature drift), and a device
+// that trips it is evicted — or quarantined under WithRecharacterization —
+// without failing readers as long as one healthy device remains.
 //
 // The embedded servingCore carries the members and implements construction,
 // Read, ReadBits, ReadRaw, Uint64, Close and the Stats snapshot — the same
@@ -74,18 +28,20 @@ type Pool struct {
 //
 // Devices open through the default backend (WithBackend, else "sim"),
 // overridable per profile index with WithDeviceBackend. Device health is
-// tracked per HealthPolicy (WithHealth): a device whose harvested bitstream
-// drifts from 50/50 or whose temperature drifts from its open-time baseline
-// is evicted — its engine stops, its remaining bits are discarded, and reads
-// continue seamlessly from the surviving devices. The last healthy device is
-// never evicted (degraded output beats no output; the breakdown in Stats
-// reports the violation instead). Stats carries a per-device breakdown in
-// Stats.Devices.
+// watched only under WithHealthTests (implied by WithDRBG and
+// WithRecharacterization), whose default action for a pool is
+// HealthActionEvict: a device that trips a test — including a bias window
+// drifting from 50/50 or a temperature drifting from its open-time baseline
+// — is evicted: its engine stops, its remaining bits are discarded, and
+// reads continue seamlessly from the surviving devices. The last healthy
+// device is never evicted (degraded output beats no output; the breakdown in
+// Stats reports the violation instead). Stats carries a per-device breakdown
+// in Stats.Devices.
 //
 // ctx cancellation stops every member engine. Close releases all members.
-// OpenPool checks the pool-only options and resolves the HealthPolicy; the
-// members are built by the same constructor Open uses, so a 1-member pool
-// and a Generator over the same profile start identically.
+// OpenPool checks the pool-only options; the members are built by the same
+// constructor Open uses, so a 1-member pool and a Generator over the same
+// profile start identically.
 func OpenPool(ctx context.Context, profiles []*Profile, opts ...Option) (*Pool, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("drange: OpenPool needs at least one profile")
@@ -100,10 +56,6 @@ func OpenPool(ctx context.Context, profiles []*Profile, opts ...Option) (*Pool, 
 		}
 	}
 	p := &Pool{}
-	if o.health != nil {
-		p.policy = *o.health
-	}
-	p.policy = p.policy.withDefaults()
 	if err := p.open(ctx, profiles, o); err != nil {
 		return nil, err
 	}
@@ -144,6 +96,10 @@ func (c *servingCore) stats() Stats {
 	for _, m := range c.members {
 		est := statsFromEngine(m.eng.Stats())
 		state := m.lifecycle()
+		temp := m.evictedTempC // an evicted member's device may be closed
+		if state != memberEvicted {
+			temp = m.pub.Temperature()
+		}
 		ds := PoolDeviceStats{
 			Device:              m.idx,
 			Serial:              m.profile.Serial,
@@ -152,8 +108,7 @@ func (c *servingCore) stats() Stats {
 			Evicted:             state == memberEvicted,
 			State:               state.String(),
 			Reason:              m.reason,
-			BiasDelta:           m.biasDelta,
-			TemperatureC:        m.lastTemperature(),
+			TemperatureC:        temp,
 			Readmissions:        m.readmissions,
 			Recharacterizations: m.recharacterizations,
 			RecharFailures:      m.recharFailures,
@@ -190,11 +145,11 @@ func (c *servingCore) stats() Stats {
 			agg.RCTTrips += ds.Health.RCTTrips
 			agg.APTTrips += ds.Health.APTTrips
 			agg.BiasTrips += ds.Health.BiasTrips
+			agg.TempTrips += ds.Health.TempTrips
 			agg.TotalTrips += ds.Health.TotalTrips
 			agg.BlockedWindows += ds.Health.BlockedWindows
-			if ds.Health.LongestRun > agg.LongestRun {
-				agg.LongestRun = ds.Health.LongestRun
-			}
+			agg.LongestRun = max(agg.LongestRun, ds.Health.LongestRun)
+			agg.BiasDelta = max(agg.BiasDelta, ds.Health.BiasDelta)
 			if !ds.Health.StartupPassed {
 				agg.StartupPassed = false
 			}
@@ -228,17 +183,6 @@ func (c *servingCore) stats() Stats {
 		out.Latency64NS = 64.0 / bitsPerNS
 	}
 	return out
-}
-
-// lastTemperature reads the member's device temperature; an evicted member
-// reports its baseline (its device may already be closed). Members merely out
-// of serving for re-characterization keep their devices open, so they report
-// live temperatures.
-func (m *servingMember) lastTemperature() float64 {
-	if m.lifecycle() == memberEvicted {
-		return m.baseTempC
-	}
-	return m.pub.Temperature()
 }
 
 var _ Source = (*Pool)(nil)

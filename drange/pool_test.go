@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/entropy"
+	"repro/internal/health"
 )
 
 // poolProfiles characterizes n small deterministic devices (distinct
@@ -187,15 +188,30 @@ func TestPoolThroughputScaling(t *testing.T) {
 	}
 }
 
-// TestPoolEvictsFaultyDevice is the acceptance check for health tracking: a
+// biasOnly is a health-test policy whose only live verdicts are the bias and
+// temperature windows: the startup self-test is off and the RCT/APT cutoffs
+// sit out of reach, so a stuck device is caught by its first bias window
+// rather than by the RCT a few bits in.
+func biasOnly(windowBits int, maxBiasDelta float64) HealthTestPolicy {
+	return HealthTestPolicy{
+		BiasWindowBits: windowBits,
+		MaxBiasDelta:   maxBiasDelta,
+		RCTCutoff:      1 << 20,
+		APTWindow:      1 << 20,
+		APTCutoff:      1 << 19,
+		StartupBits:    -1,
+	}
+}
+
+// TestPoolEvictsFaultyDevice is the acceptance check for bias eviction: a
 // pool with one faulty member (every column stuck at 1 — maximal bias drift)
-// must evict it once a health window completes, and no Read may ever fail
-// while healthy devices remain.
+// must evict it once its monitor's bias window completes, and no Read may
+// ever fail while healthy devices remain.
 func TestPoolEvictsFaultyDevice(t *testing.T) {
 	profiles := poolProfiles(t, 4)
 	pool, err := OpenPool(context.Background(), profiles,
 		WithDeviceBackend(2, "faulty", map[string]string{"stuck": "1", "stuck-value": "1"}),
-		WithHealth(HealthPolicy{WindowBits: 512, MaxBiasDelta: 0.2}),
+		WithHealthTests(biasOnly(512, 0.2)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -215,11 +231,17 @@ func TestPoolEvictsFaultyDevice(t *testing.T) {
 		t.Fatalf("healthy devices = %d, want 3 after evicting the faulty member (devices: %+v)", pool.Healthy(), st.Devices)
 	}
 	d := st.Devices[2]
-	if !d.Evicted || d.Backend != "faulty" || !strings.Contains(d.Reason, "bias drift") {
-		t.Errorf("faulty member state = %+v, want bias-drift eviction", d)
+	if !d.Evicted || d.Backend != "faulty" || !strings.Contains(d.Reason, "health test bias tripped") {
+		t.Errorf("faulty member state = %+v, want a bias eviction", d)
 	}
-	if d.BiasDelta < 0.4 {
-		t.Errorf("faulty member bias delta = %v, want ~0.5 (all-ones harvest)", d.BiasDelta)
+	if d.Health == nil || d.Health.BiasTrips != 1 || d.Health.TotalTrips != 1 {
+		t.Fatalf("faulty member health = %+v, want exactly one bias trip", d.Health)
+	}
+	if d.Health.BiasDelta < 0.4 {
+		t.Errorf("faulty member bias delta = %v, want ~0.5 (all-ones harvest)", d.Health.BiasDelta)
+	}
+	if st.Health.BiasDelta != d.Health.BiasDelta {
+		t.Errorf("aggregate bias delta = %v, want the largest member's %v", st.Health.BiasDelta, d.Health.BiasDelta)
 	}
 	for i, dd := range st.Devices {
 		if i != 2 && dd.Evicted {
@@ -236,13 +258,13 @@ func TestPoolEvictsFaultyDevice(t *testing.T) {
 	checkBias(t, post)
 }
 
-// TestPoolKeepsLastDevice: the health policy never evicts the final healthy
+// TestPoolKeepsLastDevice: the health tests never evict the final healthy
 // device — degraded output with a recorded violation beats failing reads.
 func TestPoolKeepsLastDevice(t *testing.T) {
 	profiles := poolProfiles(t, 1)
 	pool, err := OpenPool(context.Background(), profiles,
 		WithBackend("faulty", map[string]string{"stuck": "1"}),
-		WithHealth(HealthPolicy{WindowBits: 256, MaxBiasDelta: 0.1}),
+		WithHealthTests(biasOnly(256, 0.1)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +280,36 @@ func TestPoolKeepsLastDevice(t *testing.T) {
 		t.Fatalf("last device was evicted")
 	}
 	d := pool.Stats().Devices[0]
-	if !strings.Contains(d.Reason, "retained") {
-		t.Errorf("retained-device violation not recorded: %+v", d)
+	if !strings.Contains(d.Reason, "retained") || !strings.Contains(d.Reason, "health test bias tripped") {
+		t.Errorf("retained-device bias violation not recorded: %+v", d)
+	}
+}
+
+// TestPoolRetainedComplaintClearedByCleanWindow: a retained last member's
+// complaint lasts only until its monitor completes a clean bias window, so a
+// transient excursion does not flag the device forever.
+func TestPoolRetainedComplaintClearedByCleanWindow(t *testing.T) {
+	pool, err := OpenPool(context.Background(), poolProfiles(t, 1),
+		WithHealthTests(HealthTestPolicy{StartupBits: -1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	pool.mu.Lock()
+	pool.retireLocked(pool.members[0], "test: transient excursion")
+	pool.mu.Unlock()
+	if d := pool.Stats().Devices[0]; !d.Healthy || !strings.Contains(d.Reason, "retained") {
+		t.Fatalf("last member after retirement = %+v, want retained with its complaint", d)
+	}
+	if _, err := pool.Read(make([]byte, 1024)); err != nil { // two 4096-bit windows
+		t.Fatal(err)
+	}
+	d := pool.Stats().Devices[0]
+	if d.Reason != "" {
+		t.Errorf("complaint %q survived a clean window", d.Reason)
+	}
+	if d.Health == nil || d.Health.TotalTrips != 0 {
+		t.Errorf("healthy member tripped: %+v", d.Health)
 	}
 }
 
@@ -267,9 +317,9 @@ func TestPoolTemperatureDriftEviction(t *testing.T) {
 	profiles := poolProfiles(t, 2)
 	pool, err := OpenPool(context.Background(), profiles,
 		// Device 1 heats by 50 °C per 1000 reads but stays unbiased; only
-		// the temperature monitor can catch it.
+		// the temperature check can catch it.
 		WithDeviceBackend(1, "faulty", map[string]string{"stuck": "0", "drift": "50"}),
-		WithHealth(HealthPolicy{WindowBits: 512, MaxTempDriftC: 5}),
+		WithHealthTests(HealthTestPolicy{BiasWindowBits: 512, StartupBits: -1}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -284,9 +334,20 @@ func TestPoolTemperatureDriftEviction(t *testing.T) {
 	if pool.Healthy() != 1 {
 		t.Fatalf("hot device not evicted (devices: %+v)", pool.Stats().Devices)
 	}
-	d := pool.Stats().Devices[1]
-	if !d.Evicted || !strings.Contains(d.Reason, "temperature drift") {
-		t.Errorf("hot device state = %+v, want temperature-drift eviction", d)
+	st := pool.Stats()
+	d := st.Devices[1]
+	if !d.Evicted || !strings.Contains(d.Reason, "health test temp tripped") {
+		t.Errorf("hot device state = %+v, want a temperature eviction", d)
+	}
+	if d.Health == nil || d.Health.TempTrips != 1 || d.Health.TotalTrips != 1 {
+		t.Errorf("hot device health = %+v, want exactly one temp trip", d.Health)
+	}
+	if st.Health.TempTrips != 1 || st.Health.TotalTrips != 1 {
+		t.Errorf("aggregate health = %+v, want the one temp trip", st.Health)
+	}
+	if base := st.Devices[0].TemperatureC; d.TemperatureC <= base+health.MaxTempDriftC {
+		t.Errorf("evicted device reports %.1f °C, want its temperature at eviction, beyond %.1f °C of the %.1f °C sim default",
+			d.TemperatureC, health.MaxTempDriftC, base)
 	}
 }
 
@@ -312,8 +373,9 @@ func TestPoolOptionValidation(t *testing.T) {
 	if _, err := OpenPool(ctx, profiles, WithSamples(10)); err == nil {
 		t.Error("characterization option accepted by OpenPool")
 	}
-	if _, err := Open(ctx, profiles[0], WithHealth(HealthPolicy{})); err == nil {
-		t.Error("WithHealth accepted by Open")
+	if _, err := OpenPool(ctx, profiles, WithRecharacterization(RecharacterizationPolicy{}),
+		WithHealthTests(HealthTestPolicy{Disabled: true})); err == nil {
+		t.Error("WithRecharacterization accepted with disabled health tests")
 	}
 	if _, err := Characterize(ctx, WithDeviceBackend(0, "sim", nil)); err == nil {
 		t.Error("WithDeviceBackend accepted by Characterize")

@@ -7,15 +7,15 @@ package drange
 // and the Stats snapshot each exist exactly once. The single flag selects the
 // few surface differences a 1-member core keeps — error wording ("source"
 // versus "pool"), bare error propagation instead of per-device wrapping, the
-// HealthActionDefault resolution and Close's error report. Open also disables
-// the device-health bias windows (HealthPolicy applies to pools).
+// HealthActionDefault resolution and Close's error report. Device health is
+// judged in one place on both: the member's health.Monitor, attached by
+// WithHealthTests.
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +25,7 @@ import (
 )
 
 // memberState is the lifecycle of one serving member. A member starts
-// serving; a drift or health violation retires it — to quarantined when
+// serving; a health-test trip retires it — to quarantined when
 // WithRecharacterization is attached (its engine stops but its device stays
 // open), to the terminal evicted state otherwise. The background
 // recharacterizer moves quarantined members through recharacterizing (the
@@ -84,7 +84,9 @@ type servingMember struct {
 	shards int
 	trcdNS float64
 
-	baseTempC float64
+	// evictedTempC is the device temperature read at eviction, reported
+	// once the device is closed.
+	evictedTempC float64 // drange:guardedby mu
 
 	// state is the member's lifecycle state, lock-free so the concurrent
 	// read fast path skips non-serving members without the core mutex;
@@ -92,11 +94,10 @@ type servingMember struct {
 	state  atomic.Int32 // drange:atomic
 	reason string       // drange:guardedby mu
 
-	// fastEng publishes eng to the lock-free fast path. A reader that
-	// observed state == serving loads the engine through this pointer, so a
-	// hot profile swap on readmission can replace eng under mu without racing
-	// unlocked readers: the swap stores the fresh engine here before the
-	// serving state is published. nil while the member is out of serving.
+	// fastEng publishes eng to the lock-free fast path, which runs only on
+	// cores without health tests — never on a self-healing pool, so the
+	// engine it holds is the one built at open. Eviction clears it, and a
+	// reader that loads nil re-picks.
 	fastEng atomic.Pointer[core.Engine] // drange:atomic
 
 	// Lifecycle accounting (guarded by mu): readmissions counts
@@ -120,16 +121,10 @@ type servingMember struct {
 	fetched   atomic.Int64 // drange:atomic
 	delivered atomic.Int64 // drange:atomic
 
-	// win accumulates the current bias window with the ones count in the
-	// high 32 bits and the bit count in the low 32 (one atomic, so a
-	// concurrent snapshot can never pair one window's ones with another's
-	// bits); biasDelta holds |ones-fraction − 0.5| of the last completed
-	// window (guarded by mu).
-	win       atomic.Int64 // drange:atomic
-	biasDelta float64      // drange:guardedby mu
-
 	// monitor streams this member's harvested bits through the online
-	// health tests (nil unless WithHealthTests is attached);
+	// health tests and checks its device's temperature drift — the one
+	// source of the member's health verdicts (nil unless WithHealthTests is
+	// attached);
 	// blockedWindows counts batches discarded under HealthActionBlock and
 	// startupOK records the startup self-test outcome.
 	monitor        *health.Monitor // drange:guardedby mu
@@ -170,10 +165,15 @@ func (m *servingMember) lifecycle() memberState { return memberState(m.state.Loa
 // member out of every scheduling loop.
 func (m *servingMember) serving() bool { return m.state.Load() == int32(memberServing) }
 
-// addWindow folds ones set bits out of n into the member's packed bias
-// window and returns the window's new bit count.
-func (m *servingMember) addWindow(ones, n int) int64 {
-	return m.win.Add(int64(ones)<<32|int64(n)) & 0xffffffff
+// clearComplaintLocked runs after m's monitor passed a batch: if a bias
+// window completed cleanly in it (the monitor counted cleanBefore clean
+// windows before the batch), a retained last member's complaint is cleared,
+// so a transient excursion does not flag the device forever. A serving
+// member's reason holds nothing but that complaint. Callers hold mu.
+func (m *servingMember) clearComplaintLocked(cleanBefore int64) {
+	if m.monitor.Counters().CleanWindows != cleanBefore {
+		m.reason = ""
+	}
 }
 
 // takeLocked removes and returns the top k bits of the member's buffered
@@ -196,13 +196,11 @@ type servingCore struct {
 	mu sync.Mutex
 	// single marks a Generator core (one member, idx -1): closed-source
 	// errors say "source", member errors propagate bare instead of wrapped
-	// per device, HealthActionDefault resolves to HealthActionError, and
-	// Close reports engine/device release errors.
+	// per device, HealthActionDefault (and a window-level trip under
+	// HealthActionBlock) resolves to HealthActionError, and Close reports
+	// engine/device release errors.
 	single  bool
 	members []*servingMember
-	// policy is the pool device-health policy (bias/temperature windows); a
-	// single core carries it Disabled.
-	policy HealthPolicy
 	// testsEnabled/testsPolicy carry the WithHealthTests policy resolved
 	// with the surface default action.
 	testsEnabled bool
@@ -275,8 +273,8 @@ func (c *servingCore) memberErr(idx int, what string, err error) error {
 }
 
 // open builds one member per profile and brings the core up to serving: the
-// one construction path behind Open and OpenPool, which set only single and
-// policy beforehand. The post-processing chain is built before any device
+// one construction path behind Open and OpenPool, which set only single
+// beforehand. The post-processing chain is built before any device
 // opens, and a failed open stops every engine it started and releases every
 // device it opened — never a WithDevice device.
 //
@@ -288,9 +286,14 @@ func (c *servingCore) open(ctx context.Context, profiles []*Profile, o *options)
 	if err := o.rejectCharacterizationOnly(); err != nil {
 		return err
 	}
-	// Resolve the DRBG tier first: it implies the health tests, so the
-	// member monitors built below must already see the implied policy.
+	// Resolve the DRBG tier and the lifecycle first: both imply the health
+	// tests, so the member monitors built below must already see the
+	// implied policy.
 	drbgPolicy, drbgOn, err := o.resolveDRBG()
+	if err != nil {
+		return err
+	}
+	recharPolicy, recharOn, err := o.resolveRechar()
 	if err != nil {
 		return err
 	}
@@ -337,9 +340,8 @@ func (c *servingCore) open(ctx context.Context, profiles []*Profile, o *options)
 	// The recharacterizer starts last, once the member set is final: members
 	// retired before this point (startup failures are terminal anyway) were
 	// never quarantined, so the channel starts empty.
-	if o.rechar != nil && !o.rechar.Disabled {
-		c.recharOn = true
-		c.recharPolicy = o.rechar.withDefaults()
+	if recharOn {
+		c.recharOn, c.recharPolicy = true, recharPolicy
 		c.recharCh = make(chan *servingMember, len(c.members))
 		c.recharWG.Add(1)
 		go c.recharacterizer(c.pctx)
@@ -387,15 +389,14 @@ func (c *servingCore) openMember(idx int, profile *Profile, o *options, shards i
 		return err
 	}
 	m := &servingMember{
-		idx:       idx,
-		profile:   profile,
-		backend:   backend,
-		pub:       pub,
-		dev:       dev,
-		shards:    shards,
-		trcdNS:    trcd,
-		ownsDev:   o.device == nil,
-		baseTempC: pub.Temperature(),
+		idx:     idx,
+		profile: profile,
+		backend: backend,
+		pub:     pub,
+		dev:     dev,
+		shards:  shards,
+		trcdNS:  trcd,
+		ownsDev: o.device == nil,
 	}
 	c.members = append(c.members, m)
 	// Backends construct to the profile's identity, but a WithDevice device
@@ -409,19 +410,23 @@ func (c *servingCore) openMember(idx int, profile *Profile, o *options, shards i
 	if dg := pub.Geometry(); dg != profile.Geometry {
 		return fmt.Errorf("drange: device mismatch: profile geometry %+v differs from the device's %+v", profile.Geometry, dg)
 	}
+	// The monitor is built before the engine starts harvesting, so its
+	// temperature baseline is the device's temperature at open.
+	if c.testsEnabled {
+		cfg := c.testsPolicy.config()
+		cfg.Temperature = pub.Temperature
+		mon, err := health.New(cfg)
+		if err != nil {
+			return fmt.Errorf("drange: %w", err)
+		}
+		m.monitor, m.startupOK = mon, true
+	}
 	eng, sels, err := c.buildEngine(m, profile)
 	if err != nil {
 		return err
 	}
 	m.eng, m.sels = eng, sels
 	m.fastEng.Store(eng)
-	if c.testsEnabled {
-		mon, err := health.New(c.testsPolicy.config())
-		if err != nil {
-			return fmt.Errorf("drange: %w", err)
-		}
-		m.monitor, m.startupOK = mon, true
-	}
 	return nil
 }
 
@@ -487,20 +492,21 @@ func (c *servingCore) evictLocked(m *servingMember, reason string) {
 	m.state.Store(int32(memberEvicted))
 	m.reason = reason
 	m.cur, m.curBits = 0, 0
+	m.evictedTempC = m.pub.Temperature()
 	m.eng.Close()
 	if m.ownsDev {
 		closeDevice(m.pub)
 	}
 }
 
-// retireLocked takes a member that violated a drift or health policy out of
-// serving: quarantined for background re-characterization when
+// retireLocked takes a member whose health monitor tripped out of serving:
+// quarantined for background re-characterization when
 // WithRecharacterization is attached and attempts remain, terminally evicted
 // otherwise. The last healthy member is never retired — the reason is
-// recorded for Stats but reads continue (degraded output beats no output).
-// Hard engine failures do not come through here: a member whose engine died
-// is evicted directly, since its device cannot be assumed profileable.
-// Callers hold mu.
+// recorded for Stats but reads continue (degraded output beats no output)
+// until a clean bias window clears it. Hard engine failures do not come
+// through here: a member whose engine died is evicted directly, since its
+// device cannot be assumed profileable. Callers hold mu.
 func (c *servingCore) retireLocked(m *servingMember, reason string) {
 	if !m.serving() {
 		return
@@ -517,61 +523,19 @@ func (c *servingCore) retireLocked(m *servingMember, reason string) {
 }
 
 // quarantineLocked hands a drifting member to the background
-// recharacterizer: its engine stops and its buffered bits and bias window
-// are discarded, but — unlike eviction — its device stays open so the
-// targeted re-characterization pass can profile it. Callers hold mu.
+// recharacterizer: its engine stops and its buffered bits are discarded, but
+// — unlike eviction — its device stays open so the targeted
+// re-characterization pass can profile it. Callers hold mu.
 func (c *servingCore) quarantineLocked(m *servingMember, reason string) {
-	m.fastEng.Store(nil)
 	m.state.Store(int32(memberQuarantined))
 	m.reason = reason
 	m.cur, m.curBits = 0, 0
-	m.win.Store(0)
 	m.eng.Close()
 	select {
 	case c.recharCh <- m:
 	default:
 		// Unreachable: the channel is buffered to the member count and a
 		// member is enqueued at most once per quarantine.
-	}
-}
-
-// completeWindowLocked applies the device-health policy to a member whose
-// bias window just filled, snapshotting and resetting the window atomics. A
-// concurrent reader may have completed the window already; the re-check under
-// the lock makes that a no-op. Callers hold mu.
-func (c *servingCore) completeWindowLocked(m *servingMember) {
-	if m.win.Load()&0xffffffff < int64(c.policy.WindowBits) || !m.serving() {
-		return
-	}
-	w := m.win.Swap(0)
-	ones, winBits := w>>32, w&0xffffffff
-	if c.policy.Disabled || winBits == 0 {
-		return
-	}
-	m.biasDelta = float64(ones)/float64(winBits) - 0.5
-	if m.biasDelta < 0 {
-		m.biasDelta = -m.biasDelta
-	}
-	if c.policy.MaxBiasDelta >= 0 && m.biasDelta > c.policy.MaxBiasDelta {
-		c.retireLocked(m, fmt.Sprintf("bias drift: |ones-fraction-0.5| = %.3f over %d bits exceeds %.3f",
-			m.biasDelta, c.policy.WindowBits, c.policy.MaxBiasDelta))
-		return
-	}
-	if c.policy.MaxTempDriftC >= 0 {
-		drift := m.pub.Temperature() - m.baseTempC
-		if drift < 0 {
-			drift = -drift
-		}
-		if drift > c.policy.MaxTempDriftC {
-			c.retireLocked(m, fmt.Sprintf("temperature drift: %.1f °C from the %.1f °C baseline exceeds %.1f °C",
-				drift, m.baseTempC, c.policy.MaxTempDriftC))
-			return
-		}
-	}
-	// A window with no violation clears a retained-device complaint, so a
-	// transient excursion does not flag the device forever.
-	if m.serving() {
-		m.reason = ""
 	}
 }
 
@@ -593,6 +557,23 @@ func (c *servingCore) nextMemberLocked() *servingMember {
 	return best
 }
 
+// tripAction resolves the response to a health-test trip. Discarding the
+// batch that tripped cannot hold back a window-level verdict — bias or
+// temperature drift judges a whole bias window, whose earlier batches were
+// already served — so under HealthActionBlock those verdicts take the
+// surface's other action instead: a pool retires the member, a Generator
+// fails the read.
+func (c *servingCore) tripAction(v *health.Violation) HealthAction {
+	a := c.testsPolicy.OnFailure
+	if a != HealthActionBlock || (v.Test != health.TestBias && v.Test != health.TestTemp) {
+		return a
+	}
+	if c.single {
+		return HealthActionError
+	}
+	return HealthActionEvict
+}
+
 // blockedOutLocked reports whether m exhausted its HealthActionBlock budget
 // within the current read and sits benched until the next one. Callers hold
 // mu.
@@ -604,7 +585,7 @@ func (c *servingCore) blockedOutLocked(m *servingMember) bool {
 // nextMemberWithBitsLocked returns the least-loaded healthy member with
 // buffered bits, fetching one packed 64-bit word from its engine when its
 // buffer is empty — the per-fetch granularity that keeps member interleaving
-// fine-grained for the bias monitor while amortising the engine's consumer
+// fine-grained for the health monitor while amortising the engine's consumer
 // lock. A member whose engine fails is evicted and scheduling re-picks; the
 // call only fails once no healthy member remains (or a health-test policy
 // says so). Callers hold mu.
@@ -637,18 +618,19 @@ func (c *servingCore) nextMemberWithBitsLocked() (*servingMember, error) {
 			continue
 		}
 		if m.monitor != nil {
+			clean := m.monitor.Counters().CleanWindows
 			if v := m.monitor.IngestPacked(buf[:], 64); v != nil {
-				switch c.testsPolicy.OnFailure {
+				switch c.tripAction(v) {
 				case HealthActionError:
 					return nil, &HealthError{Test: string(v.Test), Device: m.idx, Detail: v.Detail}
 				case HealthActionBlock:
-					// Discard the dirty batch and refetch. The discarded
-					// batch still counts as load, so the least-loaded
-					// scheduler rotates to healthy members instead of
-					// re-picking the tripping one forever; the budget is
-					// per member per read, so a member that exhausts it is
-					// benched for the rest of the read while the healthy
-					// members keep serving.
+					// Discard the dirty batch (an RCT or APT trip) and
+					// refetch. The discarded batch still counts as load,
+					// so the least-loaded scheduler rotates to healthy
+					// members instead of re-picking the tripping one
+					// forever; the budget is per member per read, so a
+					// member that exhausts it is benched for the rest of
+					// the read while the healthy members keep serving.
 					m.monitor.Reset()
 					m.blockedWindows++
 					m.fetched.Add(64)
@@ -668,25 +650,16 @@ func (c *servingCore) nextMemberWithBitsLocked() (*servingMember, error) {
 						continue
 					}
 					// The last healthy member is retained (degraded
-					// output beats no output, matching the device-health
-					// policy): serve the batch with the violation
-					// recorded in Reason and the trip counters.
+					// output beats no output): serve the batch with the
+					// violation recorded in Reason and the trip counters.
 					m.monitor.Reset()
 				}
+			} else {
+				m.clearComplaintLocked(clean)
 			}
 		}
 		m.cur, m.curBits = binary.BigEndian.Uint64(buf[:]), 64
 		m.fetched.Add(64)
-		if !c.policy.Disabled {
-			if w := m.addWindow(bits.OnesCount64(m.cur), 64); w >= int64(c.policy.WindowBits) {
-				c.completeWindowLocked(m)
-				// The member may have just been retired; its buffered bits
-				// are gone and the scheduler picks the next member.
-				if !m.serving() {
-					continue
-				}
-			}
-		}
 		return m, nil
 	}
 }
@@ -877,8 +850,8 @@ func (c *servingCore) instantiateDRBGs() error {
 }
 
 // harvestSeedLocked fills seed with packed bytes from m's engine, streaming
-// them through m's monitor with the same trip policies, load accounting and
-// bias-window bookkeeping as nextMemberWithBitsLocked. It returns
+// them through m's monitor with the same trip policies and load accounting
+// as nextMemberWithBitsLocked. It returns
 // errDRBGMemberEvicted when the harvest cost m its pool membership (engine
 // failure or evict policy), so callers re-pick instead of failing the read.
 // Callers hold mu.
@@ -893,26 +866,16 @@ func (c *servingCore) harvestSeedLocked(m *servingMember, seed []byte) error {
 			return errDRBGMemberEvicted
 		}
 		m.fetched.Add(int64(len(seed)) * 8)
-		if !c.policy.Disabled {
-			ones := 0
-			for _, b := range seed {
-				ones += bits.OnesCount8(b)
-			}
-			if w := m.addWindow(ones, len(seed)*8); w >= int64(c.policy.WindowBits) {
-				c.completeWindowLocked(m)
-				if !m.serving() {
-					return errDRBGMemberEvicted
-				}
-			}
-		}
 		if m.monitor == nil {
 			return nil
 		}
+		clean := m.monitor.Counters().CleanWindows
 		v := m.monitor.IngestPacked(seed, len(seed)*8)
 		if v == nil {
+			m.clearComplaintLocked(clean)
 			return nil
 		}
-		switch c.testsPolicy.OnFailure {
+		switch c.tripAction(v) {
 		case HealthActionError:
 			return &HealthError{Test: string(v.Test), Device: m.idx, Detail: v.Detail}
 		case HealthActionBlock:
@@ -1148,20 +1111,18 @@ func (c *servingCore) stageDRBGReseedLocked(served *servingMember) {
 }
 
 // ReadRaw fills p with raw harvested bytes — the physical tier. Health
-// tests, device-health tracking and any post-processing chain still apply;
-// only the WithDRBG expansion is bypassed. Without WithDRBG, Read is this
-// same path.
+// tests and any post-processing chain still apply; only the WithDRBG
+// expansion is bypassed. Without WithDRBG, Read is this same path.
 //
 // This is the packed fast path: the engines hand the core packed 64-bit
 // words that land in the caller's buffer without any bit-per-byte expansion.
 // With no post-processing chain and no online health tests attached, ReadRaw
-// additionally runs lock-free — concurrent readers
-// schedule themselves onto the least-loaded members through atomic load
-// counters and only touch the core mutex at bias-window boundaries and
-// evictions, so throughput scales with readers instead of serializing behind
-// the lock. (Device health tracking per HealthPolicy stays fully enforced on
-// this path.) This is also the single tier-accounting site of the raw tier:
-// both exits count the read if and only if it succeeded.
+// additionally runs lock-free — concurrent readers schedule themselves onto
+// the least-loaded members through atomic load counters and only touch the
+// core mutex to evict a member whose engine failed, so throughput scales
+// with readers instead of serializing behind the lock. This is also the
+// single tier-accounting site of the raw tier: both exits count the read if
+// and only if it succeeded.
 //
 //drange:seedtaint-exempt documented raw tier: delivers unconditioned entropy by contract
 func (c *servingCore) ReadRaw(p []byte) (int, error) {
@@ -1229,7 +1190,7 @@ func (c *servingCore) pickMember() *servingMember {
 
 // readFast is the concurrent Read path: packed 64-bit fetches from the
 // least-loaded member's engine straight into the caller's buffer, with the
-// core mutex taken only for bias-window evaluation and evictions.
+// core mutex taken only for evictions.
 //
 //drange:noalloc
 func (c *servingCore) readFast(dst []byte) (int, error) {
@@ -1250,16 +1211,12 @@ func (c *servingCore) readFast(dst []byte) (int, error) {
 		}
 		chunk := dst[i : i+n]
 		// Claim the load before the engine read so concurrent readers spread
-		// across members instead of piling onto one. The engine is loaded
-		// through the member's published pointer: the acquire load pairs
-		// with the release store a readmission makes after its hot profile
-		// swap, so a reader that saw the member serving reads the engine
-		// that state belongs to.
+		// across members instead of piling onto one.
 		m.fetched.Add(int64(n) * 8)
 		eng := m.fastEng.Load()
 		if eng == nil {
-			// The member left serving between the pick and the engine load
-			// (a quarantine or eviction cleared the pointer); re-pick.
+			// The member was evicted between the pick and the engine load;
+			// re-pick.
 			m.fetched.Add(-int64(n) * 8)
 			continue
 		}
@@ -1270,11 +1227,9 @@ func (c *servingCore) readFast(dst []byte) (int, error) {
 				c.mu.Unlock()
 				return 0, c.errClosed()
 			}
-			if !m.serving() || m.eng != eng {
-				// Another reader retired this member while we were blocked
-				// in its engine (e.g. a bias-window trip closed it), or it
-				// was readmitted with a fresh engine while we held the old
-				// one; the survivors keep serving — just re-pick.
+			if !m.serving() {
+				// Another reader evicted this member while we were blocked
+				// in its engine; the survivors keep serving — just re-pick.
 				c.mu.Unlock()
 				continue
 			}
@@ -1287,17 +1242,6 @@ func (c *servingCore) readFast(dst []byte) (int, error) {
 			continue
 		}
 		m.delivered.Add(int64(n) * 8)
-		if !c.policy.Disabled {
-			ones := 0
-			for _, b := range chunk {
-				ones += bits.OnesCount8(b)
-			}
-			if w := m.addWindow(ones, n*8); w >= int64(c.policy.WindowBits) {
-				c.mu.Lock()
-				c.completeWindowLocked(m)
-				c.mu.Unlock()
-			}
-		}
 		i += n
 	}
 	c.delivered.Add(int64(len(dst)) * 8)

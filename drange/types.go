@@ -313,10 +313,11 @@ type PoolDeviceStats struct {
 	Backend string `json:"backend"`
 	// Healthy reports whether the device is still serving reads; Evicted
 	// and Reason describe why not (Reason is also set, with Healthy still
-	// true, when the last remaining device violates the health policy but
-	// is retained). State is the full lifecycle state: "serving",
-	// "quarantined", "recharacterizing", "readmitting" or "evicted" —
-	// Healthy and Evicted are redundant with it but kept for compatibility.
+	// true, when the last remaining device trips its health tests but is
+	// retained, until a clean bias window clears it). State is the full
+	// lifecycle state: "serving", "quarantined", "recharacterizing",
+	// "readmitting" or "evicted" — Healthy and Evicted are redundant with it
+	// but kept for compatibility.
 	Healthy bool   `json:"healthy"`
 	Evicted bool   `json:"evicted"`
 	State   string `json:"state"`
@@ -331,10 +332,8 @@ type PoolDeviceStats struct {
 	RecharFailures      int64   `json:"rechar_failures"`
 	LastRecharMS        float64 `json:"last_rechar_ms,omitempty"`
 	ProfileDeltas       int     `json:"profile_deltas,omitempty"`
-	// BiasDelta is |ones-fraction − 0.5| over the last completed health
-	// window of this device's harvested bits.
-	BiasDelta float64 `json:"bias_delta"`
-	// TemperatureC is the device's last observed temperature.
+	// TemperatureC is the device's temperature: read live, or at eviction
+	// for an evicted device.
 	TemperatureC float64 `json:"temperature_c"`
 	// BitsHarvested/BitsDelivered count bits the device's engine extracted
 	// and bits the pool handed to callers from this device.

@@ -1,9 +1,9 @@
 // Example device_pool multiplexes a fleet of DRAM devices behind one Source
-// with drange.OpenPool, and demonstrates the health tracking that keeps a
-// fleet honest: one member is opened through the "faulty" backend (every
-// column stuck at 1 — the bias failure the paper's RNG-cell selection
-// guards against), and the pool evicts it after its first health window
-// while reads continue uninterrupted from the healthy devices.
+// with drange.OpenPool, and demonstrates the health tests that keep a fleet
+// honest: one member is opened through the "faulty" backend (every column
+// stuck — the bias failure the paper's RNG-cell selection guards against),
+// its startup self-test trips, and the pool evicts it before it serves a
+// byte while reads continue uninterrupted from the healthy devices.
 package main
 
 import (
@@ -35,12 +35,13 @@ func main() {
 		profiles = append(profiles, p)
 	}
 
-	// Open the pool. Device 2 goes through the fault-injecting backend; the
-	// tight health window makes the eviction visible within a few reads.
+	// Open the pool. Device 2 goes through the fault-injecting backend; each
+	// member's monitor judges a 1024-bit bias window, and the startup
+	// self-test screens every member before the pool serves a byte.
 	pool, err := drange.OpenPool(ctx, profiles,
 		drange.WithShards(2), // 2 harvesting shards per device
 		drange.WithDeviceBackend(2, "faulty", map[string]string{"stuck": "1"}),
-		drange.WithHealth(drange.HealthPolicy{WindowBits: 1024, MaxBiasDelta: 0.1}),
+		drange.WithHealthTests(drange.HealthTestPolicy{BiasWindowBits: 1024}),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -64,6 +65,6 @@ func main() {
 			state = "EVICTED: " + d.Reason
 		}
 		fmt.Printf("  device %d (serial %d, backend %-6s): %6d bits delivered, %.1f Mb/s, bias %.3f — %s\n",
-			d.Device, d.Serial, d.Backend, d.BitsDelivered, d.ThroughputMbps, d.BiasDelta, state)
+			d.Device, d.Serial, d.Backend, d.BitsDelivered, d.ThroughputMbps, d.Health.BiasDelta, state)
 	}
 }

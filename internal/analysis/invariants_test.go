@@ -207,7 +207,6 @@ var requiredAtomicFields = []string{
 	"drange/serving.go:servingMember.fastEng",
 	"drange/serving.go:servingMember.fetched",
 	"drange/serving.go:servingMember.delivered",
-	"drange/serving.go:servingMember.win",
 	"drange/serving.go:servingCore.remainder",
 	"drange/serving.go:servingCore.tierRawReads",
 	"drange/serving.go:servingCore.tierRawBytes",

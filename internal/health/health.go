@@ -1,11 +1,13 @@
 // Package health implements the SP 800-90B style online health tests that
 // guard a D-RaNGe bitstream in the hot path: the Repetition Count Test (RCT)
 // and the Adaptive Proportion Test (APT) over configurable symbol widths,
-// plus a windowed bias monitor. The paper validates D-RaNGe's output quality
-// offline with the NIST battery and notes that RNG cells drift with
-// temperature and aging (Section 5.3); these tests are the continuous
-// counterpart — they run over every harvested bit and catch a degraded
-// device from the bitstream itself, before biased output reaches a caller.
+// plus a windowed bias monitor and, when the caller supplies a temperature
+// probe, a temperature-drift check at every bias window. The paper validates
+// D-RaNGe's output quality offline with the NIST battery and notes that RNG
+// cells drift with temperature and aging (Section 5.3); these tests are the
+// continuous counterpart — they run over every harvested bit and catch a
+// degraded device from the bitstream itself, or from its drift off the
+// temperature it was characterized at, before biased output reaches a caller.
 //
 // A Monitor is not safe for concurrent use; the drange facade drives one
 // monitor per source (or per pool member) under the source's lock.
@@ -30,6 +32,12 @@ const defaultAlphaExp = 30
 // MaxSymbolBits bounds the symbol width of the RCT/APT tests. Wider symbols
 // see longer-range structure but need proportionally longer windows.
 const MaxSymbolBits = 16
+
+// MaxTempDriftC is the temperature-drift bound in °C: a probe reading further
+// than this from the monitor's baseline trips TestTemp. The paper's Section
+// 5.3 shows RNG-cell failure probabilities moving with temperature, so cells
+// selected at one operating point are not trusted 10 °C away from it.
+const MaxTempDriftC = 10.0
 
 // DefaultRCTCutoff returns the SP 800-90B §4.4.1 repetition-count cutoff for
 // a full-entropy source emitting symbolBits-bit symbols:
@@ -113,6 +121,12 @@ type Config struct {
 	// MaxBiasDelta trips the bias monitor when |ones-fraction − 0.5| over a
 	// window exceeds it. 0 selects 0.1; negative disables the bias monitor.
 	MaxBiasDelta float64
+	// Temperature probes the monitored device's temperature in °C. New reads
+	// it once for the baseline (Rebaseline re-takes it); every completed
+	// bias window reads it again after the bias check, and a reading more
+	// than MaxTempDriftC from the baseline trips TestTemp. nil disables the
+	// temperature check.
+	Temperature func() float64
 }
 
 // withDefaults resolves every zero field to its documented default.
@@ -168,6 +182,8 @@ const (
 	TestAPT Test = "apt"
 	// TestBias is the windowed bias monitor.
 	TestBias Test = "bias"
+	// TestTemp is the temperature-drift check run at each bias window.
+	TestTemp Test = "temp"
 	// TestStartup is the startup self-test (RCT/APT plus a mini NIST battery
 	// over the first bits of a source).
 	TestStartup Test = "startup"
@@ -187,19 +203,25 @@ type Counters struct {
 	// symbols the RCT/APT saw.
 	BitsTested    int64
 	SymbolsTested int64
-	// RCTTrips, APTTrips and BiasTrips count trips per test.
+	// RCTTrips, APTTrips, BiasTrips and TempTrips count trips per test.
 	RCTTrips  int64
 	APTTrips  int64
 	BiasTrips int64
+	TempTrips int64
 	// LongestRun is the longest run of identical symbols observed (capped at
 	// the trip point: a tripped run resets).
 	LongestRun int64
+	// BiasDelta is |ones-fraction − 0.5| over the last completed bias window.
+	BiasDelta float64
+	// CleanWindows counts bias windows that completed without a violation —
+	// the windows credited to the sink.
+	CleanWindows int64
 	// LastViolation describes the most recent trip ("" when none).
 	LastViolation string
 }
 
 // Trips returns the total trip count across all tests.
-func (c Counters) Trips() int64 { return c.RCTTrips + c.APTTrips + c.BiasTrips }
+func (c Counters) Trips() int64 { return c.RCTTrips + c.APTTrips + c.BiasTrips + c.TempTrips }
 
 // CreditSink receives entropy credit: CreditBits(n) is called with the size
 // of every bias window that completes without a violation, i.e. n raw bits
@@ -236,6 +258,9 @@ type Monitor struct {
 	winOnes int64
 	winBits int64
 
+	// baseTempC is the temperature baseline of the drift check.
+	baseTempC float64
+
 	// sink, when set, is credited with every clean bias window.
 	sink CreditSink
 
@@ -248,7 +273,18 @@ func New(cfg Config) (*Monitor, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Monitor{cfg: cfg}, nil
+	m := &Monitor{cfg: cfg}
+	m.Rebaseline()
+	return m, nil
+}
+
+// Rebaseline re-takes the temperature baseline from the probe, for a device
+// whose cells were re-characterized at its current operating point. It does
+// nothing without a probe.
+func (m *Monitor) Rebaseline() {
+	if m.cfg.Temperature != nil {
+		m.baseTempC = m.cfg.Temperature()
+	}
 }
 
 // Config returns the monitor's fully resolved configuration.
@@ -264,8 +300,8 @@ func (m *Monitor) Counters() Counters { return m.counters }
 func (m *Monitor) SetCreditSink(s CreditSink) { m.sink = s }
 
 // Reset clears every window, run and partially packed symbol — the "discard
-// the dirty window and start clean" step of a blocking policy. Counters are
-// preserved.
+// the dirty window and start clean" step of a blocking policy. Counters and
+// the temperature baseline are preserved.
 func (m *Monitor) Reset() {
 	m.cur, m.curBits = 0, 0
 	m.haveLast, m.run = false, 0
@@ -521,24 +557,29 @@ func (m *Monitor) ingestSymbol(sym uint64) *Violation {
 	return nil
 }
 
-// biasWindowDone evaluates and clears a completed bias window, crediting the
-// sink when the window is clean. A window reaching here passed RCT and APT
-// continuously (a trip resets the stream before the window completes), so a
-// clean return certifies the whole window.
+// biasWindowDone evaluates and clears a completed bias window — the bias
+// check, then the temperature-drift check — crediting the sink when the
+// window is clean. A window reaching here passed RCT and APT continuously (a
+// trip resets the stream before the window completes), so a clean return
+// certifies the whole window.
 func (m *Monitor) biasWindowDone() *Violation {
 	ones, bits := m.winOnes, m.winBits
 	m.winOnes, m.winBits = 0, 0
-	if m.cfg.MaxBiasDelta >= 0 {
-		delta := float64(ones)/float64(bits) - 0.5
-		if delta < 0 {
-			delta = -delta
-		}
-		if delta > m.cfg.MaxBiasDelta {
-			return &Violation{Test: TestBias, Detail: fmt.Sprintf(
-				"|ones-fraction - 0.5| = %.3f over %d bits exceeds %.3f",
-				delta, bits, m.cfg.MaxBiasDelta)}
+	delta := math.Abs(float64(ones)/float64(bits) - 0.5)
+	m.counters.BiasDelta = delta
+	if m.cfg.MaxBiasDelta >= 0 && delta > m.cfg.MaxBiasDelta {
+		return &Violation{Test: TestBias, Detail: fmt.Sprintf(
+			"|ones-fraction - 0.5| = %.3f over %d bits exceeds %.3f",
+			delta, bits, m.cfg.MaxBiasDelta)}
+	}
+	if m.cfg.Temperature != nil {
+		if drift := math.Abs(m.cfg.Temperature() - m.baseTempC); drift > MaxTempDriftC {
+			return &Violation{Test: TestTemp, Detail: fmt.Sprintf(
+				"%.1f °C drift from the %.1f °C baseline exceeds %.1f °C",
+				drift, m.baseTempC, MaxTempDriftC)}
 		}
 	}
+	m.counters.CleanWindows++
 	if m.sink != nil {
 		m.sink.CreditBits(bits)
 	}
@@ -554,6 +595,8 @@ func (m *Monitor) recordTrip(v *Violation) {
 		m.counters.APTTrips++
 	case TestBias:
 		m.counters.BiasTrips++
+	case TestTemp:
+		m.counters.TempTrips++
 	}
 	m.counters.LastViolation = fmt.Sprintf("%s: %s", v.Test, v.Detail)
 }

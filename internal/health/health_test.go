@@ -323,3 +323,99 @@ func TestCreditSinkPackedMatchesUnpacked(t *testing.T) {
 		t.Errorf("credited %d bits, want 4096", su.bits)
 	}
 }
+
+// thermometer is a settable temperature probe that counts its readings.
+type thermometer struct {
+	tempC    float64
+	readings int
+}
+
+func (th *thermometer) read() float64 {
+	th.readings++
+	return th.tempC
+}
+
+// TestTempDriftTripsAtWindowBoundary: the probe is read for the baseline at
+// New and then once per completed bias window, after the bias check; a
+// reading more than MaxTempDriftC from the baseline trips "temp" at that
+// window boundary, earns no credit, and counts in Trips().
+func TestTempDriftTripsAtWindowBoundary(t *testing.T) {
+	th := &thermometer{tempC: 45}
+	m := mustMonitor(t, Config{BiasWindowBits: 512, Temperature: th.read})
+	var sink countingSink
+	m.SetCreditSink(&sink)
+	if th.readings != 1 {
+		t.Fatalf("probe read %d times by New, want 1 (the baseline)", th.readings)
+	}
+	bits := prngBits(4*512, 0x9e3779b97f4a7c15)
+
+	// Within the bound: a clean window.
+	th.tempC = 45 + MaxTempDriftC
+	if v := m.Ingest(bits[:512]); v != nil {
+		t.Fatalf("drift of exactly the bound tripped: %v", v)
+	}
+	// Beyond it: nothing until the window completes, then a temp trip.
+	th.tempC = 45 + MaxTempDriftC + 0.5
+	if v := m.Ingest(bits[512 : 2*512-1]); v != nil || th.readings != 2 {
+		t.Fatalf("mid-window: violation %v after %d probe readings, want none after 2", v, th.readings)
+	}
+	v := m.Ingest(bits[2*512-1 : 2*512])
+	if v == nil || v.Test != TestTemp {
+		t.Fatalf("hot window boundary returned %+v, want a temp trip", v)
+	}
+	c := m.Counters()
+	if c.TempTrips != 1 || c.Trips() != 1 || !strings.HasPrefix(c.LastViolation, "temp: ") {
+		t.Errorf("counters after the temp trip = %+v", c)
+	}
+	if c.CleanWindows != 1 || sink.bits != 512 {
+		t.Errorf("clean windows %d, credited %d bits; want the one clean window only", c.CleanWindows, sink.bits)
+	}
+	if c.BiasDelta <= 0 || c.BiasDelta > 0.1 {
+		t.Errorf("BiasDelta = %v, want the tripped window's small pseudorandom bias", c.BiasDelta)
+	}
+
+	// Reset keeps the baseline, so the device stays hot; Rebaseline moves
+	// the baseline to the current temperature and the next window is clean.
+	m.Reset()
+	if v := m.Ingest(bits[2*512 : 3*512]); v == nil || v.Test != TestTemp {
+		t.Fatalf("window after Reset returned %+v, want another temp trip", v)
+	}
+	m.Rebaseline()
+	if v := m.Ingest(bits[3*512:]); v != nil {
+		t.Fatalf("window after Rebaseline tripped: %v", v)
+	}
+	if c := m.Counters(); c.TempTrips != 2 || c.CleanWindows != 2 {
+		t.Errorf("counters after Rebaseline = %+v, want 2 temp trips and 2 clean windows", c)
+	}
+}
+
+// TestBiasCheckedBeforeTemp: a window that is both biased and hot reports
+// the bias trip, and the probe is not read for it.
+func TestBiasCheckedBeforeTemp(t *testing.T) {
+	th := &thermometer{tempC: 45}
+	m := mustMonitor(t, Config{BiasWindowBits: 512, MaxBiasDelta: 0.2, RCTCutoff: 1 << 20, APTCutoff: 1 << 19, APTWindow: 1 << 20, Temperature: th.read})
+	th.tempC = 100
+	v := m.Ingest(make([]byte, 512))
+	if v == nil || v.Test != TestBias {
+		t.Fatalf("biased hot window returned %+v, want the bias trip", v)
+	}
+	if c := m.Counters(); c.BiasTrips != 1 || c.TempTrips != 0 || c.BiasDelta != 0.5 || th.readings != 1 {
+		t.Errorf("counters = %+v after %d probe readings", c, th.readings)
+	}
+}
+
+// TestNilProbeNoTempSignal: without a probe the monitor never checks
+// temperature, so Config{} behaves as a bias/RCT/APT monitor only.
+func TestNilProbeNoTempSignal(t *testing.T) {
+	m := mustMonitor(t, Config{BiasWindowBits: 512})
+	if v := m.Ingest(prngBits(16*512, 0x9e3779b97f4a7c15)); v != nil {
+		t.Fatalf("unexpected violation: %v", v)
+	}
+	if c := m.Counters(); c.TempTrips != 0 || c.CleanWindows != 16 {
+		t.Errorf("counters = %+v, want 16 clean windows and no temp trips", c)
+	}
+	m.Rebaseline() // a no-op without a probe
+	if v := m.Ingest(prngBits(512, 0xc2b2ae3d27d4eb4f)); v != nil {
+		t.Fatalf("unexpected violation after Rebaseline: %v", v)
+	}
+}

@@ -129,3 +129,50 @@ func TestIngestPackedPartialByte(t *testing.T) {
 		t.Fatalf("LongestRun = %d, want 11", c.LongestRun)
 	}
 }
+
+// TestIngestPackedEquivalenceWithProbe: with a temperature probe attached,
+// IngestPacked reads the probe at the same windows as Ingest and trips
+// "temp" at the same bits with the same details and counters, for random
+// chunkings and window sizes.
+func TestIngestPackedEquivalenceWithProbe(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 13))
+	// heating returns a probe that warms by 4 °C per reading: the baseline
+	// plus two clean windows, then a trip on the third.
+	heating := func() func() float64 {
+		tempC := 45.0
+		return func() float64 { tempC += 4; return tempC }
+	}
+	tempTrips := int64(0)
+	for trial := 0; trial < 20; trial++ {
+		window := 64 + rng.IntN(256)
+		ref := mustMonitor(t, Config{BiasWindowBits: window, MaxBiasDelta: -1, Temperature: heating()})
+		packed := mustMonitor(t, Config{BiasWindowBits: window, MaxBiasDelta: -1, Temperature: heating()})
+		stream := streamFor(rng, 2048+rng.IntN(4096), 0)
+		for off := 0; off < len(stream); {
+			n := 1 + rng.IntN(300)
+			if off+n > len(stream) {
+				n = len(stream) - off
+			}
+			chunk := stream[off : off+n]
+			vRef := ref.Ingest(chunk)
+			vPacked := packed.IngestPacked(packBits(chunk), n)
+			if (vRef == nil) != (vPacked == nil) || (vRef != nil && *vRef != *vPacked) {
+				t.Fatalf("trial=%d off=%d: violation mismatch: ref=%v packed=%v", trial, off, vRef, vPacked)
+			}
+			if ref.Counters() != packed.Counters() {
+				t.Fatalf("trial=%d off=%d n=%d: counters diverge:\n ref:    %+v\n packed: %+v",
+					trial, off, n, ref.Counters(), packed.Counters())
+			}
+			if vRef != nil {
+				// Re-baseline both so trips keep recurring every third window.
+				ref.Rebaseline()
+				packed.Rebaseline()
+			}
+			off += n
+		}
+		tempTrips += ref.Counters().TempTrips
+	}
+	if tempTrips == 0 {
+		t.Fatal("no trial tripped the temperature check")
+	}
+}
