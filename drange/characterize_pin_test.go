@@ -64,3 +64,73 @@ func TestCharacterizePinned(t *testing.T) {
 		}
 	}
 }
+
+// passThroughDevice forwards every call to the Device it embeds. It hides
+// the simulator's concrete type, so the pipeline adapts it like any
+// caller-supplied backend, and the memory controller, finding no fused
+// sampling path, hands it every command of every probe separately.
+type passThroughDevice struct{ Device }
+
+// TestCharacterizePerCommandMatchesFused characterizes one device twice,
+// once with the simulator itself, whose controller takes every probe as one
+// fused call, and once through passThroughDevice, whose controller issues
+// each command separately. The profiles' checksums and the devices'
+// operation counts must be equal, and equal to the pinned checksum of a
+// plain sim-backend run: at the benchmark's region and at
+// TestCharacterizePinned's.
+func TestCharacterizePerCommandMatchesFused(t *testing.T) {
+	cases := []struct {
+		name               string
+		geom               Geometry
+		serial             uint64
+		rows, words, banks int
+		checksum           string
+	}{
+		{
+			name: "benchmark region", serial: 59, rows: 48, words: 8, banks: 8,
+			geom:     Geometry{Banks: 8, RowsPerBank: 256, ColsPerRow: 4096, SubarrayRows: 128, WordBits: 256},
+			checksum: "sha256:08375e8cc54ba3b501d4d84e72b0f1a689281b8e2f31e762c9aa34f7568d5f5e",
+		},
+		{
+			name: "pinned region", serial: 1, rows: 16, words: 4, banks: 2, geom: quickGeometry(),
+			checksum: "sha256:a8ab62b862fb759a88ec37aaf770b2390f6e21339d1cb8289eeed867e838e977",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := []Option{
+				WithManufacturer("A"),
+				WithSerial(tc.serial),
+				WithDeterministic(true),
+				WithGeometry(tc.geom),
+				WithProfilingRegion(tc.rows, tc.words, tc.banks),
+				WithSamples(300),
+				WithTolerance(0.4),
+				WithMaxBiasDelta(0.03),
+				WithScreenIterations(25),
+			}
+			var sums [2]string
+			var stats [2]DeviceStats
+			for i, wrap := range []bool{false, true} {
+				dev, err := OpenBackend("sim", BackendParams{Manufacturer: "A", Serial: tc.serial, Deterministic: true, Geometry: tc.geom})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wrap {
+					dev = passThroughDevice{dev}
+				}
+				p, err := Characterize(context.Background(), append(opts, WithDevice(dev))...)
+				if err != nil {
+					t.Fatalf("wrapped %v: %v", wrap, err)
+				}
+				sums[i], stats[i] = p.Checksum, dev.OpStats()
+			}
+			if sums[0] != tc.checksum || sums[1] != tc.checksum {
+				t.Errorf("checksums: fused %s, per-command %s, want %s", sums[0], sums[1], tc.checksum)
+			}
+			if stats[0] != stats[1] || stats[0].InjectedFlips == 0 {
+				t.Errorf("device stats: fused %+v, per-command %+v (want equal, with flips)", stats[0], stats[1])
+			}
+		})
+	}
+}

@@ -19,5 +19,5 @@ func Grab(dev device.WordReaderInto, dst []uint64) error {
 }
 
 func Sample(dev device.WordSampler, dst, restore []uint64) error {
-	return dev.SampleWord(0, 1, 0, false, 10, dst, restore) // want "raw device read device.SampleWord"
+	return dev.SampleWord(0, 1, 0, 0, 10, dst, restore) // want "raw device read device.SampleWord"
 }

@@ -19,5 +19,5 @@ type WordReaderInto interface {
 // WordSampler is the fused sample capability: an ACT and its first READ in
 // one call.
 type WordSampler interface {
-	SampleWord(bank, row, wordIdx int, precharge bool, trcdNS float64, dst, restore []uint64) error
+	SampleWord(bank, row, wordIdx int, mode uint8, trcdNS float64, dst, restore []uint64) error
 }

@@ -163,7 +163,7 @@ func ScreenedSeed(d *device.Device, m *health.Monitor) (*drbg.DRBG, error) {
 // SampleSeed keys a DRBG from the read buffer of a fused device sample.
 func SampleSeed(d *device.Device) (*drbg.DRBG, error) {
 	words, restore := make([]uint64, 4), make([]uint64, 4)
-	if err := d.SampleWord(0, 1, 0, false, 10, words, restore); err != nil {
+	if err := d.SampleWord(0, 1, 0, 0, 10, words, restore); err != nil {
 		return nil, err
 	}
 	return drbg.NewChaCha(wordBytes(words), nil, drbg.Options{}) // want "raw device entropy reaches the DRBG instantiation seed without passing health\\.Monitor"

@@ -15,8 +15,9 @@ func (d *Device) ReadWordInto(bank, wordIdx int, dst []uint64) (int, error) {
 	return len(dst), nil
 }
 
-// SampleWord is the fused PRE-ACT-RD-WR sample: dst receives the read.
-func (d *Device) SampleWord(bank, row, wordIdx int, precharge bool, trcdNS float64, dst, restore []uint64) error {
+// SampleWord is the fused sample of one word, its optional commands
+// selected by mode: dst receives the read.
+func (d *Device) SampleWord(bank, row, wordIdx int, mode uint8, trcdNS float64, dst, restore []uint64) error {
 	for i := range dst {
 		dst[i] = d.state
 	}

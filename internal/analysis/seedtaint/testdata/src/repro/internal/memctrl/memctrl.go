@@ -15,7 +15,7 @@ type Controller struct{ dev *device.Device }
 func (c *Controller) SamplePhase(ops []SampleOp) error {
 	for i := range ops {
 		op := &ops[i]
-		if err := c.dev.SampleWord(op.Bank, op.Row, op.Word, false, 10, op.Dst, op.Restore); err != nil {
+		if err := c.dev.SampleWord(op.Bank, op.Row, op.Word, 0, 10, op.Dst, op.Restore); err != nil {
 			return err
 		}
 	}

@@ -174,33 +174,19 @@ func IdentifyRNGCells(ctrl *memctrl.Controller, region profiler.Region, cfg Iden
 	}
 	defer ctrl.ResetTRCD()
 
-	got := make([]uint64, wordU64s)
+	// Each sample is Algorithm 1's probe: refresh, reduced-latency ACT and
+	// READ, restore if the read failed, PRE.
+	probe := []memctrl.SampleOp{{Bank: region.Bank, Dst: make([]uint64, wordU64s), Refresh: true, RestoreIfDirty: true, Close: true}}
+	op := &probe[0]
 	for s := 0; s < cfg.Samples; s++ {
 		for i := range words {
 			dw := &words[i]
-			if err := ctrl.RefreshRow(region.Bank, dw.row); err != nil {
+			op.Row, op.Word, op.Restore = dw.row, dw.word, dw.expected
+			if err := ctrl.SamplePhase(probe); err != nil {
 				return nil, err
-			}
-			if _, err := ctrl.ReadWordInto(region.Bank, dw.row, dw.word, got); err != nil {
-				return nil, err
-			}
-			dirty := false
-			for u := range got {
-				if got[u] != dw.expected[u] {
-					dirty = true
-					break
-				}
 			}
 			for j, off := range dw.offsets {
-				dw.streams[j] = append(dw.streams[j], byte((got[off/64]>>uint(off%64))&1))
-			}
-			if dirty {
-				if _, err := ctrl.WriteWord(region.Bank, dw.row, dw.word, dw.expected); err != nil {
-					return nil, err
-				}
-			}
-			if err := ctrl.PrechargeBank(region.Bank); err != nil {
-				return nil, err
+				dw.streams[j] = append(dw.streams[j], byte((op.Dst[off/64]>>uint(off%64))&1))
 			}
 		}
 	}

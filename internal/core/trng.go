@@ -308,18 +308,15 @@ func SampleCell(ctrl *memctrl.Controller, cell RNGCell, pat pattern.Pattern, trc
 		prealloc = maxSamplePrealloc
 	}
 	out := make([]byte, 0, prealloc)
-	got := make([]uint64, nw)
+	// Each sample is one op: reduced-latency ACT and READ, the restoring
+	// WRITE, and the PRE that closes the row for the next ACT.
+	sample := []memctrl.SampleOp{{Bank: addr.Bank, Row: addr.Row, Word: wordIdx, Dst: make([]uint64, nw), Restore: original, Close: true}}
+	got := sample[0].Dst
 	for i := 0; i < n; i++ {
-		if _, err := ctrl.ReadWordInto(addr.Bank, addr.Row, wordIdx, got); err != nil {
+		if err := ctrl.SamplePhase(sample); err != nil {
 			return nil, err
 		}
 		out = append(out, byte((got[colInWord/64]>>uint(colInWord%64))&1))
-		if _, err := ctrl.WriteWord(addr.Bank, addr.Row, wordIdx, original); err != nil {
-			return nil, err
-		}
-		if err := ctrl.PrechargeBank(addr.Bank); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

@@ -9,10 +9,12 @@
 //
 // Two optional capabilities let the simulator skip per-command overhead on
 // the sampling path: WordReaderInto reads a word into a caller-owned buffer,
-// and WordSampler applies a whole Algorithm 2 sample of one word (PRE, ACT,
-// RD, WR) in one call. The memory controller asserts both once and falls back
-// to the per-command Device methods, in issue order, for backends that lack
-// them (operation replay, fault injection, public-facade adapters).
+// and WordSampler applies a whole sample of one word in one call — Algorithm
+// 2's PRE, ACT, RD, WR, or a characterization probe with its refresh,
+// restore-if-dirty and closing PRE. The memory controller asserts both once
+// and falls back to the per-command Device methods, in issue order, for
+// backends that lack them (operation replay, fault injection, public-facade
+// adapters).
 //
 // The public facade (package drange) mirrors this contract with public types
 // as drange.Device and adapts registered backends onto it.
@@ -95,18 +97,22 @@ type WordReaderInto interface {
 
 var _ WordReaderInto = (*dram.Device)(nil)
 
-// WordSampler is an optional device capability: one Algorithm 2 sample of a
-// DRAM word as a single call. The memory controller still times, counts and
-// traces each command of the sample; it hands the device the whole sample at
-// the READ's slot instead of one call per command. Only the simulator
-// implements it.
+// WordSampler is an optional device capability: one sample of a DRAM word as
+// a single call, which memctrl.Controller.SamplePhase issues for serving's
+// Algorithm 2 and characterization's Algorithm 1 alike. The memory controller
+// still times, counts and traces each command of the sample; it hands the
+// device the whole sample at the READ's slot instead of one call per
+// command. Only the simulator implements it.
 type WordSampler interface {
-	// SampleWord applies, in order: Precharge(bank) when precharge is set,
-	// Activate(bank, row, trcdNS), ReadWordInto(bank, wordIdx, dst) and
-	// WriteWord(bank, wordIdx, restore). Effects and errors match that
+	// SampleWord applies, in order: Precharge(bank) under
+	// dram.SamplePrecharge; Activate(bank, row) at the default tRCD and
+	// Precharge(bank) under dram.SampleRefresh; Activate(bank, row, trcdNS);
+	// ReadWordInto(bank, wordIdx, dst); WriteWord(bank, wordIdx, restore),
+	// which dram.SampleRestoreIfDirty skips when dst equals restore; and
+	// Precharge(bank) under dram.SampleClose. Effects and errors match that
 	// sequence, except that invalid arguments are rejected before any
 	// command applies.
-	SampleWord(bank, row, wordIdx int, precharge bool, trcdNS float64, dst, restore []uint64) error
+	SampleWord(bank, row, wordIdx int, mode dram.SampleMode, trcdNS float64, dst, restore []uint64) error
 }
 
 var _ WordSampler = (*dram.Device)(nil)

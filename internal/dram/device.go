@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/timing"
@@ -44,7 +45,8 @@ type Config struct {
 // Device methods are safe for concurrent use by multiple goroutines; the
 // paper exploits bank-level parallelism and callers may drive different banks
 // concurrently. Every command takes d.mu once; SampleWord applies a whole
-// Algorithm 2 sample (PRE, ACT, RD, WR) under that one acquisition, and the
+// sample of one word — Algorithm 2's PRE, ACT, RD, WR, or Algorithm 1's
+// refresh, ACT, RD, restore and PRE — under that one acquisition, and the
 // noise stream of the bank is locked separately, once per injected word.
 type Device struct {
 	serial  uint64
@@ -66,13 +68,10 @@ type Device struct {
 	weakCols map[weakKey][][]int // drange:guardedby mu
 
 	// chars caches the procedurally derived per-cell character, keyed by
-	// packed (bank, row, col); inject caches, per (bank, row, wordIdx), the
-	// word's weak columns together with their characters. The character is a
-	// pure function of the device identity, so both caches are transparent;
-	// they remove the dominant hashing cost from the failure-injection hot
-	// path, where generation re-reads the same few words forever.
-	chars  map[uint64]CellCharacter // drange:guardedby mu
-	inject map[uint64]*injectInfo   // drange:guardedby mu
+	// packed (bank, row, col). The character is a pure function of the
+	// device identity, so the cache is transparent, as are the rows'
+	// injection tables (rowStorage.inject).
+	chars map[uint64]CellCharacter // drange:guardedby mu
 
 	stats DeviceStats // drange:guardedby mu
 }
@@ -117,28 +116,27 @@ type weakKey struct {
 }
 
 // bankStorage holds the mutable state of one bank: lazily-allocated row data
-// and the row-buffer state. rows is direct-indexed by row (nil = not yet
-// materialised): one pointer per row costs kilobytes while keeping the
-// per-access lookup a bounds-checked load instead of a map probe.
+// and injection data, and the row-buffer state. rows is direct-indexed by
+// row: two slice headers per row cost kilobytes while keeping the per-access
+// lookup a bounds-checked load instead of a map probe.
 type bankStorage struct {
-	rows [][]uint64
+	rows []rowStorage
 
 	openRow            int
 	open               bool
 	activatedTRCD      float64
 	firstAccessPending bool
-
-	// injected memoizes the injection data of the two words last injected
-	// in this bank, most recent first, in front of the device-wide inject
-	// map: the TRNG alternates two words per bank, so serving never probes
-	// the map.
-	injected [2]injectMemo
 }
 
-// injectMemo is one bankStorage.injected entry; a nil info is empty.
-type injectMemo struct {
-	row, wordIdx int
-	info         *injectInfo
+// rowStorage is the lazily materialised state of one row (nil = not yet).
+type rowStorage struct {
+	data []uint64
+	// inject[wordIdx] is the injection data of a word, built on its first
+	// injection; the slice is allocated on the first injection in the row.
+	// Serving re-reads two words per bank forever and characterization
+	// walks every word of its region; both find a word's data beside the
+	// row's data, whose header an injection has just loaded.
+	inject []*injectInfo
 }
 
 // NewDevice constructs a simulated device from cfg.
@@ -183,12 +181,12 @@ func NewDevice(cfg Config) (*Device, error) {
 		return nil, err
 	}
 
-	// The character caches pack (bank, row, col/wordIdx) into 64-bit keys
+	// The character cache packs (bank, row, col) into 64-bit keys
 	// (16/24/24 bits); reject geometries the packing cannot address rather
 	// than silently colliding cache entries.
-	if geom.Banks >= 1<<16 || geom.RowsPerBank >= 1<<24 || geom.ColsPerRow >= 1<<24 || geom.WordsPerRow() >= 1<<16 {
-		return nil, fmt.Errorf("dram: geometry %d banks x %d rows x %d cols (%d words/row) exceeds the addressable simulation bounds (2^16 banks, 2^24 rows, 2^24 cols, 2^16 words/row)",
-			geom.Banks, geom.RowsPerBank, geom.ColsPerRow, geom.WordsPerRow())
+	if geom.Banks >= 1<<16 || geom.RowsPerBank >= 1<<24 || geom.ColsPerRow >= 1<<24 {
+		return nil, fmt.Errorf("dram: geometry %d banks x %d rows x %d cols exceeds the addressable simulation bounds (2^16 banks, 2^24 rows, 2^24 cols)",
+			geom.Banks, geom.RowsPerBank, geom.ColsPerRow)
 	}
 
 	noise := cfg.Noise
@@ -208,10 +206,12 @@ func NewDevice(cfg Config) (*Device, error) {
 		banks:        make([]*bankStorage, geom.Banks),
 		weakCols:     make(map[weakKey][][]int),
 		chars:        make(map[uint64]CellCharacter),
-		inject:       make(map[uint64]*injectInfo),
 	}
 	for i := range d.banks {
-		d.banks[i] = &bankStorage{rows: make([][]uint64, geom.RowsPerBank), openRow: -1}
+		d.banks[i] = &bankStorage{
+			rows:    make([]rowStorage, geom.RowsPerBank),
+			openRow: -1,
+		}
 	}
 	return d, nil
 }
@@ -280,37 +280,34 @@ func (d *Device) cellCharacterLocked(bank, row, col int) CellCharacter {
 }
 
 // injectInfoLocked returns (computing and caching if needed) the injection
-// data of DRAM word (bank, row, wordIdx). The bank's two-entry memo answers
-// before the inject map does. Callers hold d.mu.
+// data of DRAM word (bank, row, wordIdx). Callers hold d.mu.
 func (d *Device) injectInfoLocked(bank, row, wordIdx int) *injectInfo {
-	memo := &d.banks[bank].injected
-	for i := range memo {
-		if m := &memo[i]; m.info != nil && m.row == row && m.wordIdx == wordIdx {
-			return m.info
+	r := &d.banks[bank].rows[row]
+	words := r.inject
+	if words == nil {
+		words = make([]*injectInfo, d.wordsPerRow)
+		r.inject = words
+	}
+	if info := words[wordIdx]; info != nil {
+		return info
+	}
+	weak := d.weakColumnsLocked(bank, d.subarrayOf(row))[wordIdx]
+	// trcdNS stays 0, which no activation uses, so the first injection
+	// records its conditions over the still-empty table.
+	info := &injectInfo{
+		cols:       weak,
+		chars:      make([]CellCharacter, len(weak)),
+		vulnerable: make([]uint8, len(weak)),
+		firstDraws: make([]firstDraw, neighbourCounts*len(weak)),
+	}
+	for i, col := range weak {
+		c := cellCharacter(d.serial, bank, row, col, d.geom, d.profile)
+		info.chars[i] = c
+		if c.VulnerableWhenStoring(1) {
+			info.vulnerable[i] = 1
 		}
 	}
-	key := uint64(bank)<<40 | uint64(row)<<16 | uint64(wordIdx)
-	info, ok := d.inject[key]
-	if !ok {
-		weak := d.weakColumnsLocked(bank, d.subarrayOf(row))[wordIdx]
-		// trcdNS stays 0, which no activation uses, so the first injection
-		// records its conditions over the still-empty table.
-		info = &injectInfo{
-			cols:       weak,
-			chars:      make([]CellCharacter, len(weak)),
-			firstDraws: make([]firstDraw, neighbourCounts*len(weak)),
-		}
-		info.vulnerable = make([]uint8, len(weak))
-		for i, col := range weak {
-			c := cellCharacter(d.serial, bank, row, col, d.geom, d.profile)
-			info.chars[i] = c
-			if c.VulnerableWhenStoring(1) {
-				info.vulnerable[i] = 1
-			}
-		}
-		d.inject[key] = info
-	}
-	memo[1], memo[0] = memo[0], injectMemo{row: row, wordIdx: wordIdx, info: info}
+	words[wordIdx] = info
 	return info
 }
 
@@ -418,11 +415,11 @@ func (d *Device) StartupRow(bank, row int) ([]uint64, error) {
 // startup content lazily on first touch.
 func (d *Device) rowDataLocked(bank, row int) []uint64 {
 	b := d.banks[bank]
-	if data := b.rows[row]; data != nil {
+	if data := b.rows[row].data; data != nil {
 		return data
 	}
 	data := d.startupRow(bank, row)
-	b.rows[row] = data
+	b.rows[row].data = data
 	return data
 }
 
@@ -639,7 +636,9 @@ func (d *Device) writeWordLocked(bank, wordIdx int, word []uint64) error {
 
 // checkSample runs the checks of a SampleWord call's commands in issue
 // order, the ACT's, then the READ's, then the WRITE's, and returns the first
-// error.
+// error. The optional PREs and refresh ACT check a subset of the ACT's
+// arguments, and restore is checked even when SampleRestoreIfDirty leaves it
+// unwritten, since the read is compared with it.
 func (d *Device) checkSample(bank, row, wordIdx int, trcdNS float64, dst, restore []uint64) error {
 	if err := d.checkActivate(bank, row, trcdNS); err != nil {
 		return err
@@ -650,18 +649,38 @@ func (d *Device) checkSample(bank, row, wordIdx int, trcdNS float64, dst, restor
 	return d.checkWrite(bank, wordIdx, restore)
 }
 
-// SampleWord applies one Algorithm 2 sample of DRAM word (bank, row, wordIdx)
-// under a single lock acquisition: the PRE closing the bank's open row (only
-// when precharge is set, as the controller issued one), the ACT at trcdNS,
-// the first-access READ into dst with failure injection, and the WRITE of
-// restore. It is the command sequence Precharge, Activate, ReadWordInto,
-// WriteWord, with the same effects and errors, except that every argument is
-// validated before any state changes: a sequence the four calls would reject
-// part-way is rejected here whole. An ACT to a bank with a row still open is
-// the same "already has row open" error.
+// SampleMode selects the optional commands of a SampleWord call around its
+// reduced-latency ACT and READ. The zero mode is Algorithm 2's sample of a
+// precharged bank: ACT, READ, WRITE.
+type SampleMode uint8
+
+const (
+	// SamplePrecharge closes the bank's open row first.
+	SamplePrecharge SampleMode = 1 << iota
+	// SampleRefresh refreshes the row before the reduced ACT: an ACT at the
+	// device's default tRCD, then a PRE (Algorithm 1, lines 6–7).
+	SampleRefresh
+	// SampleRestoreIfDirty writes restore only when the read differs from
+	// it; without it the WRITE is unconditional.
+	SampleRestoreIfDirty
+	// SampleClose precharges the bank after the sample.
+	SampleClose
+)
+
+// SampleWord applies one sample of DRAM word (bank, row, wordIdx) under a
+// single lock acquisition: the PRE closing the bank's open row
+// (SamplePrecharge), the row's full-latency refresh (SampleRefresh), the ACT
+// at trcdNS, the first-access READ into dst with failure injection, the WRITE
+// of restore (skipped on a clean read under SampleRestoreIfDirty) and the PRE
+// closing the row (SampleClose). It is the command sequence Precharge,
+// Activate and Precharge, Activate, ReadWordInto, WriteWord, Precharge, with
+// the same effects and errors, except that every argument is validated
+// before any state changes: a sequence the calls would reject part-way is
+// rejected here whole. An ACT to a bank with a row still open is the same
+// "already has row open" error.
 //
 //drange:noalloc
-func (d *Device) SampleWord(bank, row, wordIdx int, precharge bool, trcdNS float64, dst, restore []uint64) error {
+func (d *Device) SampleWord(bank, row, wordIdx int, mode SampleMode, trcdNS float64, dst, restore []uint64) error {
 	// One branch covers every check of checkSample, which runs only to name
 	// the failing one: its nested calls are a measurable share of a
 	// sample's device time.
@@ -671,7 +690,13 @@ func (d *Device) SampleWord(bank, row, wordIdx int, precharge bool, trcdNS float
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if precharge {
+	if mode&SamplePrecharge != 0 {
+		d.prechargeLocked(bank)
+	}
+	if mode&SampleRefresh != 0 {
+		if err := d.activateLocked(bank, row, d.timing.TRCD); err != nil {
+			return err
+		}
 		d.prechargeLocked(bank)
 	}
 	if err := d.activateLocked(bank, row, trcdNS); err != nil {
@@ -680,7 +705,15 @@ func (d *Device) SampleWord(bank, row, wordIdx int, precharge bool, trcdNS float
 	if err := d.readWordLocked(bank, wordIdx, dst); err != nil {
 		return err
 	}
-	return d.writeWordLocked(bank, wordIdx, restore)
+	if mode&SampleRestoreIfDirty == 0 || !slices.Equal(dst, restore) {
+		if err := d.writeWordLocked(bank, wordIdx, restore); err != nil {
+			return err
+		}
+	}
+	if mode&SampleClose != 0 {
+		d.prechargeLocked(bank)
+	}
+	return nil
 }
 
 // WriteRow writes the full content of (bank, row) directly, bypassing the
@@ -697,7 +730,7 @@ func (d *Device) WriteRow(bank, row int, data []uint64) error {
 	defer d.mu.Unlock()
 	stored := make([]uint64, len(data))
 	copy(stored, data)
-	d.banks[bank].rows[row] = stored
+	d.banks[bank].rows[row].data = stored
 	d.stats.Writes += int64(d.wordsPerRow)
 	return nil
 }

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/timing"
@@ -467,9 +468,17 @@ func TestBitHelpers(t *testing.T) {
 	}
 }
 
-// sampleByCommands is SampleWord as the four separate commands.
-func sampleByCommands(d *Device, bank, row, wordIdx int, precharge bool, trcdNS float64, dst, restore []uint64) error {
-	if precharge {
+// sampleByCommands is SampleWord as separate commands.
+func sampleByCommands(d *Device, bank, row, wordIdx int, mode SampleMode, trcdNS float64, dst, restore []uint64) error {
+	if mode&SamplePrecharge != 0 {
+		if err := d.Precharge(bank); err != nil {
+			return err
+		}
+	}
+	if mode&SampleRefresh != 0 {
+		if err := d.Activate(bank, row, d.Timing().TRCD); err != nil {
+			return err
+		}
 		if err := d.Precharge(bank); err != nil {
 			return err
 		}
@@ -480,36 +489,80 @@ func sampleByCommands(d *Device, bank, row, wordIdx int, precharge bool, trcdNS 
 	if err := d.ReadWordInto(bank, wordIdx, dst); err != nil {
 		return err
 	}
-	return d.WriteWord(bank, wordIdx, restore)
+	if mode&SampleRestoreIfDirty == 0 || !slices.Equal(dst, restore) {
+		if err := d.WriteWord(bank, wordIdx, restore); err != nil {
+			return err
+		}
+	}
+	if mode&SampleClose != 0 {
+		return d.Precharge(bank)
+	}
+	return nil
 }
 
 // TestSampleWordMatchesCommandSequence: on valid arguments SampleWord leaves
-// the same words, row data and counters as Precharge, Activate, ReadWordInto
-// and WriteWord; on invalid ones it returns the sequence's first error
-// without touching any state.
+// the same words, row data and counters as the command sequence it stands
+// for, under every mode: the bank is left open or closed as the mode needs,
+// with the sampled row or another one open before SamplePrecharge, and the
+// restore value is alternately the stored word (a clean read unless a cell
+// fails) and zeros (a dirty one). On invalid arguments it returns the
+// sequence's first error without touching any state.
 func TestSampleWordMatchesCommandSequence(t *testing.T) {
 	fused, seq := testDevice(t, 9), testDevice(t, 9)
 	g := fused.Geometry()
 	nw := g.wordU64s()
 	zero := make([]uint64, nw)
-	for i := 0; i < 200; i++ {
+	var clean, dirty int
+	for i := 0; i < 640; i++ {
 		bank, row, w := i%3, 1+i%7, i%g.WordsPerRow()
+		mode := SampleMode(i % 16)
+		stored, err := seq.ReadRowRaw(bank, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restore := stored[w*nw : (w+1)*nw]
+		if i/16%2 == 1 {
+			restore = zero
+		}
 		var got [2][]uint64
 		for k, d := range []*Device{fused, seq} {
+			// Close the bank, then open a row for SamplePrecharge to close:
+			// the sampled row, or the one after it.
+			if err := d.Precharge(bank); err != nil {
+				t.Fatal(err)
+			}
+			if mode&SamplePrecharge != 0 {
+				if err := d.Activate(bank, row+i/32%2, 18); err != nil {
+					t.Fatal(err)
+				}
+			}
 			got[k] = make([]uint64, nw)
 			sample := sampleByCommands
 			if k == 0 {
 				sample = (*Device).SampleWord
 			}
-			if err := sample(d, bank, row, w, i >= 3, 8, got[k], zero); err != nil {
-				t.Fatalf("sample %d on device %d: %v", i, k, err)
+			if err := sample(d, bank, row, w, mode, 8, got[k], restore); err != nil {
+				t.Fatalf("sample %d (mode %04b) on device %d: %v", i, mode, k, err)
 			}
 		}
-		for j := range got[0] {
-			if got[0][j] != got[1][j] {
-				t.Fatalf("sample %d: SampleWord read %x, the command sequence %x", i, got[0], got[1])
+		if !slices.Equal(got[0], got[1]) {
+			t.Fatalf("sample %d (mode %04b): SampleWord read %x, the command sequence %x", i, mode, got[0], got[1])
+		}
+		if mode&SampleRestoreIfDirty != 0 {
+			if slices.Equal(got[0], restore) {
+				clean++
+			} else {
+				dirty++
 			}
 		}
+		for bank := 0; bank < 3; bank++ {
+			if a, b := fused.banks[bank], seq.banks[bank]; a.open != b.open || a.openRow != b.openRow || a.firstAccessPending != b.firstAccessPending {
+				t.Fatalf("sample %d (mode %04b): bank %d row buffers differ", i, mode, bank)
+			}
+		}
+	}
+	if clean == 0 || dirty == 0 {
+		t.Errorf("restore-if-dirty samples: %d clean and %d dirty, want both", clean, dirty)
 	}
 	if fused.Stats() != seq.Stats() || fused.Stats().InjectedFlips == 0 {
 		t.Fatalf("stats %+v, command sequence %+v (want equal, with flips)", fused.Stats(), seq.Stats())
@@ -518,10 +571,8 @@ func TestSampleWordMatchesCommandSequence(t *testing.T) {
 		for row := 0; row < 9; row++ {
 			a, _ := fused.ReadRowRaw(bank, row)
 			b, _ := seq.ReadRowRaw(bank, row)
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("bank %d row %d differs after sampling", bank, row)
-				}
+			if !slices.Equal(a, b) {
+				t.Fatalf("bank %d row %d differs after sampling", bank, row)
 			}
 		}
 	}
@@ -530,17 +581,21 @@ func TestSampleWordMatchesCommandSequence(t *testing.T) {
 	bad := []struct {
 		name               string
 		bank, row, wordIdx int
+		mode               SampleMode
 		trcdNS             float64
 		dst, restore       []uint64
 	}{
-		{"negative bank", -1, 0, 0, 8, dst, restore},
-		{"bank out of range", g.Banks, 0, 0, 8, dst, restore},
-		{"row out of range", 0, g.RowsPerBank, 0, 8, dst, restore},
-		{"zero tRCD", 0, 0, 0, 0, dst, restore},
-		{"word out of range", 0, 0, g.WordsPerRow(), 8, dst, restore},
-		{"short destination", 0, 0, 0, 8, dst[:1], restore},
-		{"short restore", 0, 0, 0, 8, dst, restore[:1]},
-		{"row already open", 1, 0, 0, 8, dst, restore},
+		{"negative bank", -1, 0, 0, 0, 8, dst, restore},
+		{"negative bank, precharge first", -1, 0, 0, SamplePrecharge | SampleClose, 8, dst, restore},
+		{"bank out of range", g.Banks, 0, 0, 0, 8, dst, restore},
+		{"row out of range", 0, g.RowsPerBank, 0, SampleRefresh, 8, dst, restore},
+		{"zero tRCD", 0, 0, 0, 0, 0, dst, restore},
+		{"word out of range", 0, 0, g.WordsPerRow(), 0, 8, dst, restore},
+		{"short destination", 0, 0, 0, 0, 8, dst[:1], restore},
+		{"short restore", 0, 0, 0, 0, 8, dst, restore[:1]},
+		{"short restore, restore if dirty", 0, 0, 0, SampleRestoreIfDirty, 8, dst, restore[:1]},
+		{"row already open", 1, 0, 0, 0, 8, dst, restore},
+		{"row already open, refresh", 1, 0, 0, SampleRefresh, 8, dst, restore},
 	}
 	for _, tc := range bad {
 		// The command sequence may open bank 0 before it fails; start every
@@ -557,8 +612,8 @@ func TestSampleWordMatchesCommandSequence(t *testing.T) {
 			}
 		}
 		before := fused.Stats()
-		errFused := fused.SampleWord(tc.bank, tc.row, tc.wordIdx, false, tc.trcdNS, tc.dst, tc.restore)
-		errSeq := sampleByCommands(seq, tc.bank, tc.row, tc.wordIdx, false, tc.trcdNS, tc.dst, tc.restore)
+		errFused := fused.SampleWord(tc.bank, tc.row, tc.wordIdx, tc.mode, tc.trcdNS, tc.dst, tc.restore)
+		errSeq := sampleByCommands(seq, tc.bank, tc.row, tc.wordIdx, tc.mode, tc.trcdNS, tc.dst, tc.restore)
 		if errFused == nil || errSeq == nil || errFused.Error() != errSeq.Error() {
 			t.Errorf("%s: SampleWord error %v, command sequence %v", tc.name, errFused, errSeq)
 		}

@@ -7,13 +7,19 @@
 // The controller issues commands in program order at the earliest legal
 // cycle, which models the firmware sampling routine of Section 6.3: a simple
 // loop that interleaves accesses across banks. SamplePhase issues one phase
-// of that loop at once; the per-command methods serve characterization.
+// of that loop at once, and with its per-op options also each probe of
+// characterization's Algorithm 1 loops, so every sample in the module goes
+// through it. The per-command methods remain for callers that issue single
+// commands, such as the workload-trace replay of the idle-bandwidth study
+// (internal/sim).
 package memctrl
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/device"
+	"repro/internal/dram"
 	"repro/internal/timing"
 )
 
@@ -486,40 +492,57 @@ func (c *Controller) WriteWord(bank, row, wordIdx int, word []uint64) (int64, er
 
 // SampleOp is one word of a SamplePhase: the DRAM word (Bank, Row, Word), the
 // buffer Dst its reduced-latency read lands in, and the value Restore written
-// back after the read. Both buffers hold WordBits/64 uint64s.
+// back after the read. Both buffers hold WordBits/64 uint64s, and no op's
+// Restore may overlap another op's Dst, since a device taking the sample
+// fused reads Restore at the op's READ slot, not its WRITE's. The options
+// turn Algorithm 2's sample into Algorithm 1's probe: Refresh refreshes the
+// row first (an ACT at the default tRCD, then a PRE), RestoreIfDirty writes
+// Restore only when the read differs from it, and Close precharges the bank
+// after the sample.
 type SampleOp struct {
 	Bank, Row, Word int
 	Dst, Restore    []uint64
+
+	Refresh, RestoreIfDirty, Close bool
 }
 
-// phaseSlot is what one SamplePhase call issued at a bank's ACT slot.
+// phaseSlot is what one SamplePhase call issued for a bank.
 type phaseSlot struct {
-	gen       uint64 // the SamplePhase call that claimed the bank
-	fused     bool   // an ACT was issued and the device takes it as SampleWord
-	precharge bool   // a PRE closing the bank's other row preceded the ACT
+	gen   uint64 // the SamplePhase call that claimed the bank
+	fused bool   // a reduced ACT was issued and the device takes it as SampleWord
+	// mode holds the commands the controller issued before the reduced ACT,
+	// which a fused device applies with it.
+	mode dram.SampleMode
 }
 
 // SamplePhase issues one Algorithm 2 half-iteration over ops, which must name
 // different banks: an ACT for every op, preceded by the PRE that closes the
 // bank's other open row (neither when the op's row is already open), then a
 // READ of every op's word into its Dst, then a WRITE of every op's Restore,
-// each in op order. Every command gets the issue cycle, bank-state update,
+// then, for ops with Close, a PRE, each in op order. An op with Refresh gets
+// the refresh at its ACT slot: the PRE closing the bank's open row, then the
+// row's ACT and PRE at the default tRCD (only the PRE when the row was open),
+// then its reduced ACT. An op with RestoreIfDirty issues no WRITE when its
+// read equals Restore. Every command gets the issue cycle, bank-state update,
 // tRRD/tFAW and data-bus bookkeeping, counters and trace record the
 // per-command methods give it, so the banks' activation latencies overlap. A
 // due refresh is issued once, at the phase start, so none can fall between an
 // op's ACT and its READ. Every op is validated before any command issues.
 //
 // The device sees the same commands in the same order. When it implements
-// device.WordSampler, an op that issued an ACT reaches it as one SampleWord
-// call at the op's READ slot, so a noise stream shared across banks is drawn
-// in op order either way; every other command reaches the device at its own
-// slot, as the per-command methods hand it over.
+// device.WordSampler, an op that issued a reduced ACT reaches it as one
+// SampleWord call at the op's READ slot, carrying every command of the op, so
+// a noise stream shared across banks is drawn in op order either way; every
+// other command reaches the device at its own slot, as the per-command
+// methods hand it over.
 //
 //drange:noalloc
 func (c *Controller) SamplePhase(ops []SampleOp) error {
 	c.phaseGen++
+	closes := false
 	for i := range ops {
 		op := &ops[i]
+		closes = closes || op.Close
 		if err := c.checkBank(op.Bank); err != nil {
 			return err
 		}
@@ -544,19 +567,22 @@ func (c *Controller) SamplePhase(ops []SampleOp) error {
 	for i := range ops {
 		op := &ops[i]
 		b, s := c.banks[op.Bank], &c.phase[op.Bank]
+		if op.Refresh {
+			reduced := c.reducedTRCDNS
+			c.reducedTRCDNS = 0
+			err := c.refreshRow(op.Bank, op.Row, s)
+			c.reducedTRCDNS = reduced
+			if err != nil {
+				return err
+			}
+		}
 		open := b.OpenRow()
 		if open == op.Row {
 			continue
 		}
 		if open >= 0 {
-			if err := c.issuePRE(op.Bank, b.EarliestPRE()); err != nil {
+			if err := c.prechargeForSample(op.Bank, s); err != nil {
 				return err
-			}
-			s.precharge = true
-			if c.sampler == nil {
-				if err := c.dev.Precharge(op.Bank); err != nil {
-					return err
-				}
 			}
 		}
 		if err := c.issueACT(op.Bank, op.Row); err != nil {
@@ -574,9 +600,17 @@ func (c *Controller) SamplePhase(ops []SampleOp) error {
 		if _, err := c.issueRD(op.Bank, op.Row, op.Word); err != nil {
 			return err
 		}
+		s := &c.phase[op.Bank]
 		var err error
-		if s := &c.phase[op.Bank]; s.fused {
-			err = c.sampler.SampleWord(op.Bank, op.Row, op.Word, s.precharge, c.EffectiveTRCD(), op.Dst, op.Restore)
+		if s.fused {
+			mode := s.mode
+			if op.RestoreIfDirty {
+				mode |= dram.SampleRestoreIfDirty
+			}
+			if op.Close {
+				mode |= dram.SampleClose
+			}
+			err = c.sampler.SampleWord(op.Bank, op.Row, op.Word, mode, c.EffectiveTRCD(), op.Dst, op.Restore)
 		} else {
 			err = c.readWord(op.Bank, op.Word, op.Dst)
 		}
@@ -586,6 +620,9 @@ func (c *Controller) SamplePhase(ops []SampleOp) error {
 	}
 	for i := range ops {
 		op := &ops[i]
+		if op.RestoreIfDirty && slices.Equal(op.Dst, op.Restore) {
+			continue
+		}
 		if _, err := c.issueWR(op.Bank, op.Row, op.Word); err != nil {
 			return err
 		}
@@ -595,23 +632,72 @@ func (c *Controller) SamplePhase(ops []SampleOp) error {
 			}
 		}
 	}
+	// Serving's phases close no row; they skip the loop.
+	if !closes {
+		return nil
+	}
+	for i := range ops {
+		op := &ops[i]
+		if !op.Close {
+			continue
+		}
+		if err := c.issuePRE(op.Bank, c.banks[op.Bank].EarliestPRE()); err != nil {
+			return err
+		}
+		if !c.phase[op.Bank].fused {
+			if err := c.dev.Precharge(op.Bank); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
-// RefreshRow restores the charge of every cell in (bank, row) by activating
-// and precharging it with nominal timing — the "refresh a row" step of the
-// paper's Algorithm 1 (lines 6–7).
-func (c *Controller) RefreshRow(bank, row int) error {
-	if err := c.checkBank(bank); err != nil {
+// refreshRow issues the refresh of (bank, row) that Algorithm 1 (lines 6–7)
+// runs before each reduced-latency read, with the tRCD override cleared by
+// the caller: the PRE closing the bank's open row, then, unless that row was
+// row, row's ACT and PRE, which restore its cells' charge. The device gets
+// each command at its slot unless it takes the sample fused; s records what
+// it then applies first.
+func (c *Controller) refreshRow(bank, row int, s *phaseSlot) error {
+	b := c.banks[bank]
+	open := b.OpenRow()
+	if open >= 0 {
+		if err := c.prechargeForSample(bank, s); err != nil {
+			return err
+		}
+	}
+	if open == row {
+		return nil
+	}
+	if err := c.issueACT(bank, row); err != nil {
 		return err
 	}
-	saved := c.reducedTRCDNS
-	c.reducedTRCDNS = 0
-	defer func() { c.reducedTRCDNS = saved }()
-	if err := c.openRowFor(bank, row); err != nil {
+	if err := c.issuePRE(bank, b.EarliestPRE()); err != nil {
 		return err
 	}
-	return c.PrechargeBank(bank)
+	s.mode |= dram.SampleRefresh
+	if c.sampler != nil {
+		return nil
+	}
+	if err := c.dev.Activate(bank, row, c.params.TRCD); err != nil {
+		return err
+	}
+	return c.dev.Precharge(bank)
+}
+
+// prechargeForSample issues the PRE that closes bank's open row ahead of a
+// sample's ACT. The device gets it at its slot unless it takes the sample
+// fused; s records it for that case.
+func (c *Controller) prechargeForSample(bank int, s *phaseSlot) error {
+	if err := c.issuePRE(bank, c.banks[bank].EarliestPRE()); err != nil {
+		return err
+	}
+	s.mode |= dram.SamplePrecharge
+	if c.sampler != nil {
+		return nil
+	}
+	return c.dev.Precharge(bank)
 }
 
 // Idle advances the controller clock by the given number of cycles without

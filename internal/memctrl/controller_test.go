@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dram"
@@ -159,25 +160,42 @@ func TestControllerFourActivateWindow(t *testing.T) {
 	}
 }
 
+// TestControllerRefreshRowRestoresCharge checks SampleOp.Refresh, Algorithm
+// 1's row refresh: its ACT and PRE run at the default tRCD, so the device
+// counts only the sample's own ACT as reduced, the trace records the refresh
+// commands without the override, and Close leaves the bank precharged.
 func TestControllerRefreshRowRestoresCharge(t *testing.T) {
-	c := newTestController(t)
+	c := newTestController(t, WithTrace())
 	if err := c.SetReducedTRCD(10); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RefreshRow(0, 5); err != nil {
+	nw := c.Device().Geometry().WordBits / 64
+	probe := []SampleOp{{Bank: 0, Row: 5, Dst: make([]uint64, nw), Restore: make([]uint64, nw), Refresh: true, Close: true}}
+	// NewController precharged every bank of the device.
+	precharged := c.Device().Stats().Precharges
+	if err := c.SamplePhase(probe); err != nil {
 		t.Fatal(err)
 	}
-	// RefreshRow must leave the bank precharged and must not count as a
-	// reduced-tRCD activation on the device.
 	row, err := c.OpenRow(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if row != -1 {
-		t.Errorf("open row after RefreshRow = %d, want -1", row)
+		t.Errorf("open row after the probe = %d, want -1", row)
 	}
-	if c.Device().Stats().ReducedTRCDAct != 0 {
-		t.Error("RefreshRow performed a reduced-tRCD activation")
+	if s := c.Device().Stats(); s.Activates != 2 || s.ReducedTRCDAct != 1 || s.Precharges-precharged != 2 {
+		t.Errorf("device stats %+v: want 2 activations, 1 of them reduced, and 2 precharges after the %d of NewController", s, precharged)
+	}
+	var kinds []timing.CommandKind
+	var overrides []float64
+	for _, cmd := range c.Trace() {
+		kinds = append(kinds, cmd.Kind)
+		overrides = append(overrides, cmd.TRCDOverrideNS)
+	}
+	wantKinds := []timing.CommandKind{timing.CmdACT, timing.CmdPRE, timing.CmdACT, timing.CmdRead, timing.CmdWrite, timing.CmdPRE}
+	wantOverrides := []float64{0, 0, 10, 10, 10, 10}
+	if !reflect.DeepEqual(kinds, wantKinds) || !reflect.DeepEqual(overrides, wantOverrides) {
+		t.Errorf("trace kinds %v with tRCD overrides %v, want %v with %v", kinds, overrides, wantKinds, wantOverrides)
 	}
 }
 
@@ -230,8 +248,8 @@ func TestControllerBankRangeChecks(t *testing.T) {
 	if err := c.PrechargeBank(99); err == nil {
 		t.Error("out-of-range bank accepted by PrechargeBank")
 	}
-	if err := c.RefreshRow(99, 0); err == nil {
-		t.Error("out-of-range bank accepted by RefreshRow")
+	if err := c.SamplePhase([]SampleOp{{Bank: 99, Refresh: true}}); err == nil {
+		t.Error("out-of-range bank accepted by a refreshing SamplePhase")
 	}
 	if _, err := c.OpenRow(99); err == nil {
 		t.Error("out-of-range bank accepted by OpenRow")

@@ -3,6 +3,7 @@ package memctrl
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -85,22 +86,27 @@ type sampleRun struct {
 	noise []float64 // the next draw of every bank's noise stream
 }
 
-// runSample issues iterations Algorithm 2 iterations, one phase at a time
-// through issue, on ctrl at a reduced tRCD of 10 ns.
-func runSample(t *testing.T, dev *dram.Device, ctrl *Controller, phases [2][]SampleOp, iterations int,
+// sampleTRCD is the reduced tRCD the sample tests program, in nanoseconds.
+const sampleTRCD = 10
+
+// runSample issues iterations Algorithm 2 iterations, each phase repeat
+// times in a row, through issue, on ctrl at the reduced tRCD sampleTRCD.
+func runSample(t *testing.T, dev *dram.Device, ctrl *Controller, phases [2][]SampleOp, iterations, repeat int,
 	issue func([]SampleOp) error, nextNoise func(bank int) float64) sampleRun {
 	t.Helper()
-	if err := ctrl.SetReducedTRCD(10); err != nil {
+	if err := ctrl.SetReducedTRCD(sampleTRCD); err != nil {
 		t.Fatal(err)
 	}
 	var r sampleRun
 	for i := 0; i < iterations; i++ {
 		for half, ops := range phases {
-			if err := issue(ops); err != nil {
-				t.Fatalf("iteration %d half %d: %v", i, half, err)
-			}
-			for _, op := range ops {
-				r.words = append(r.words, append([]uint64(nil), op.Dst...))
+			for k := 0; k < repeat; k++ {
+				if err := issue(ops); err != nil {
+					t.Fatalf("iteration %d half %d: %v", i, half, err)
+				}
+				for _, op := range ops {
+					r.words = append(r.words, append([]uint64(nil), op.Dst...))
+				}
 			}
 		}
 	}
@@ -113,10 +119,24 @@ func runSample(t *testing.T, dev *dram.Device, ctrl *Controller, phases [2][]Sam
 }
 
 // issueMethods issues a phase through the per-command controller methods:
-// every ActivateRow, then every ReadWordInto, then every WriteWord.
+// every op's refresh (ActivateRow and PrechargeBank at the default tRCD) and
+// ActivateRow, then every ReadWordInto, then every WriteWord, then every
+// PrechargeBank, as the op's options ask.
 func issueMethods(ctrl *Controller) func([]SampleOp) error {
 	return func(ops []SampleOp) error {
 		for _, op := range ops {
+			if op.Refresh {
+				ctrl.ResetTRCD()
+				if err := ctrl.ActivateRow(op.Bank, op.Row); err != nil {
+					return err
+				}
+				if err := ctrl.PrechargeBank(op.Bank); err != nil {
+					return err
+				}
+				if err := ctrl.SetReducedTRCD(sampleTRCD); err != nil {
+					return err
+				}
+			}
 			if err := ctrl.ActivateRow(op.Bank, op.Row); err != nil {
 				return err
 			}
@@ -127,8 +147,18 @@ func issueMethods(ctrl *Controller) func([]SampleOp) error {
 			}
 		}
 		for _, op := range ops {
+			if op.RestoreIfDirty && slices.Equal(op.Dst, op.Restore) {
+				continue
+			}
 			if _, err := ctrl.WriteWord(op.Bank, op.Row, op.Word, op.Restore); err != nil {
 				return err
+			}
+		}
+		for _, op := range ops {
+			if op.Close {
+				if err := ctrl.PrechargeBank(op.Bank); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -141,7 +171,10 @@ func issueMethods(ctrl *Controller) func([]SampleOp) error {
 // separately. Read words, device and controller counters, trace, clock and
 // the next draw of every noise stream must all be equal. Without refresh the
 // per-command controller methods, called in the same phase order, must give
-// the same result too.
+// the same result too. The option cases cover each SampleOp option: Refresh
+// with the bank closed, with the op's row open and with another row open
+// (each phase issued twice, without Close), RestoreIfDirty on clean and
+// dirty reads, and Close, alone and together as characterization's probe.
 func TestSamplePhaseFusedMatchesPerCommand(t *testing.T) {
 	bankNoise := func() (dram.NoiseSource, func(int) float64) {
 		n := dram.NewDeterministicBankNoise(7)
@@ -151,27 +184,42 @@ func TestSamplePhaseFusedMatchesPerCommand(t *testing.T) {
 		n := dram.NewDeterministicNoise(7)
 		return n, func(int) float64 { return n.Gaussian() }
 	}
+	refresh := func(op *SampleOp) { op.Refresh = true }
+	restoreIfDirty := func(op *SampleOp) { op.RestoreIfDirty = true }
+	closeRow := func(op *SampleOp) { op.Close = true }
+	probe := func(op *SampleOp) { op.Refresh, op.RestoreIfDirty, op.Close = true, true, true }
 	cases := []struct {
 		name  string
 		noise func() (dram.NoiseSource, func(int) float64)
 		opts  []Option
+		// option sets every op's options.
+		option func(*SampleOp)
 		// openFirst activates the first op's row through the controller at
 		// the reduced tRCD before the phases start, so that op issues no
 		// ACT: the device gets its read per command, ahead of the fused
 		// samples of the other banks.
 		openFirst  bool
 		iterations int
-		refresh    bool
+		// repeat is how often each phase is issued in a row (1 when 0).
+		repeat  int
+		refresh bool
 	}{
 		{name: "bank noise", noise: bankNoise, iterations: 20},
 		{name: "shared noise", noise: sharedNoise, iterations: 20},
 		{name: "trace", noise: sharedNoise, opts: []Option{WithTrace()}, iterations: 20},
 		{name: "row already open", noise: sharedNoise, opts: []Option{WithTrace()}, openFirst: true, iterations: 3},
 		{name: "refresh", noise: bankNoise, opts: []Option{WithRefresh(), WithTrace()}, iterations: 150, refresh: true},
+		{name: "option refresh", noise: sharedNoise, opts: []Option{WithTrace()}, option: refresh, openFirst: true, iterations: 10, repeat: 2},
+		{name: "option restore if dirty", noise: sharedNoise, opts: []Option{WithTrace()}, option: restoreIfDirty, iterations: 20},
+		{name: "option close", noise: bankNoise, opts: []Option{WithTrace()}, option: closeRow, iterations: 20},
+		{name: "option probe", noise: sharedNoise, opts: []Option{WithTrace()}, option: probe, iterations: 20},
+		{name: "option probe, bank noise, no trace", noise: bankNoise, option: probe, iterations: 20},
+		{name: "option probe with refresh", noise: bankNoise, opts: []Option{WithRefresh(), WithTrace()}, option: probe, iterations: 60, refresh: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			banks := []int{0, 2, 3, 5}
+			repeat := max(tc.repeat, 1)
 			run := func(wrap, methods bool) sampleRun {
 				noise, next := tc.noise()
 				dev := newSampleDevice(t, noise)
@@ -181,8 +229,15 @@ func TestSamplePhaseFusedMatchesPerCommand(t *testing.T) {
 				}
 				ctrl := NewController(d, tc.opts...)
 				phases := samplePhases(t, dev, banks)
+				if tc.option != nil {
+					for _, ops := range phases {
+						for i := range ops {
+							tc.option(&ops[i])
+						}
+					}
+				}
 				if tc.openFirst {
-					if err := ctrl.SetReducedTRCD(10); err != nil {
+					if err := ctrl.SetReducedTRCD(sampleTRCD); err != nil {
 						t.Fatal(err)
 					}
 					if err := ctrl.ActivateRow(phases[0][0].Bank, phases[0][0].Row); err != nil {
@@ -193,7 +248,7 @@ func TestSamplePhaseFusedMatchesPerCommand(t *testing.T) {
 				if methods {
 					issue = issueMethods(ctrl)
 				}
-				return runSample(t, dev, ctrl, phases, tc.iterations, issue, next)
+				return runSample(t, dev, ctrl, phases, tc.iterations, repeat, issue, next)
 			}
 			fused, perCommand := run(false, false), run(true, false)
 			if fused.dev.InjectedFlips == 0 {
@@ -201,6 +256,13 @@ func TestSamplePhaseFusedMatchesPerCommand(t *testing.T) {
 			}
 			if tc.refresh && fused.ctrl.Refreshes < 3 {
 				t.Fatalf("%d refreshes, want the run to cross at least 3 tREFI windows", fused.ctrl.Refreshes)
+			}
+			if tc.option != nil {
+				probe := SampleOp{}
+				tc.option(&probe)
+				if probe.RestoreIfDirty && (fused.ctrl.Writes == 0 || fused.ctrl.Writes == fused.ctrl.Reads) {
+					t.Fatalf("%d writes for %d reads: want both clean and dirty reads", fused.ctrl.Writes, fused.ctrl.Reads)
+				}
 			}
 			compareRuns(t, "per-command device", fused, perCommand)
 			if !tc.refresh {
@@ -255,6 +317,11 @@ func TestSamplePhaseRejectsSameOnBothPaths(t *testing.T) {
 		{name: "short buffer", edit: func(ops []SampleOp) { ops[0].Dst = ops[0].Dst[:1] }},
 		{name: "bank named twice", edit: func(ops []SampleOp) { ops[3].Bank = ops[0].Bank }},
 		{name: "bank not precharged", edit: func([]SampleOp) {}, behind: true},
+		{name: "bank not precharged, refresh", edit: func(ops []SampleOp) {
+			for i := range ops {
+				ops[i].Refresh, ops[i].RestoreIfDirty, ops[i].Close = true, true, true
+			}
+		}, behind: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,6 +8,7 @@ package profiler
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/memctrl"
 	"repro/internal/pattern"
@@ -170,8 +171,9 @@ func WritePattern(ctrl *memctrl.Controller, region Region, pat pattern.Pattern) 
 // region, programs the reduced tRCD, and then, for every word of every row
 // (column-major, so each access goes to a closed row), refreshes the row,
 // activates it with the reduced latency, reads the word, records any
-// failures, and restores the pattern so the next iteration tests the same
-// stored data. The controller's default tRCD is restored before returning.
+// failures, restores the pattern so the next iteration tests the same stored
+// data, and precharges. Each such probe is one memctrl.SamplePhase op. The
+// controller's default tRCD is restored before returning.
 func Run(ctrl *memctrl.Controller, region Region, cfg Config) (*FailureProfile, error) {
 	if err := region.Validate(ctrl); err != nil {
 		return nil, err
@@ -204,52 +206,32 @@ func Run(ctrl *memctrl.Controller, region Region, cfg Config) (*FailureProfile, 
 		expected[i] = row
 	}
 
-	got := make([]uint64, wordU64s)
 	if err := ctrl.SetReducedTRCD(cfg.TRCDNS); err != nil {
 		return nil, err
 	}
 	defer ctrl.ResetTRCD()
 
+	// Lines 6-10: fully refresh the row so every iteration starts from the
+	// same charge state, activate it with the reduced tRCD, read the word
+	// and precharge. A failed read is restored to the pattern before the
+	// precharge, since the sense amplifiers wrote the failures back into the
+	// array.
+	probe := []memctrl.SampleOp{{Bank: region.Bank, Dst: make([]uint64, wordU64s), Refresh: true, RestoreIfDirty: true, Close: true}}
+	op := &probe[0]
 	for it := 0; it < cfg.Iterations; it++ {
 		for w := region.WordStart; w < region.WordStart+region.WordCount; w++ {
 			for row := region.RowStart; row < region.RowStart+region.RowCount; row++ {
-				expWord := expected[row-region.RowStart][w*wordU64s : (w+1)*wordU64s]
-
-				// Lines 6-7: fully refresh the row so every iteration starts
-				// from the same charge state.
-				if err := ctrl.RefreshRow(region.Bank, row); err != nil {
-					return nil, err
-				}
-				// Lines 8-10: activate with reduced tRCD, read the word,
-				// precharge.
-				if _, err := ctrl.ReadWordInto(region.Bank, row, w, got); err != nil {
+				op.Row, op.Word = row, w
+				op.Restore = expected[row-region.RowStart][w*wordU64s : (w+1)*wordU64s]
+				if err := ctrl.SamplePhase(probe); err != nil {
 					return nil, err
 				}
 				// Line 11: record activation failures.
-				dirty := false
-				for u := 0; u < wordU64s; u++ {
-					diff := got[u] ^ expWord[u]
-					if diff == 0 {
-						continue
+				for u, got := range op.Dst {
+					for diff := got ^ op.Restore[u]; diff != 0; diff &= diff - 1 {
+						col := w*g.WordBits + u*64 + bits.TrailingZeros64(diff)
+						profile.Counts[CellAddr{Bank: region.Bank, Row: row, Col: col}]++
 					}
-					dirty = true
-					for bit := 0; bit < 64; bit++ {
-						if diff&(1<<uint(bit)) != 0 {
-							col := w*g.WordBits + u*64 + bit
-							profile.Counts[CellAddr{Bank: region.Bank, Row: row, Col: col}]++
-						}
-					}
-				}
-				// Restore the pattern so subsequent iterations test the same
-				// stored data (activation failures are written back into the
-				// array by the sense amplifiers).
-				if dirty {
-					if _, err := ctrl.WriteWord(region.Bank, row, w, expWord); err != nil {
-						return nil, err
-					}
-				}
-				if err := ctrl.PrechargeBank(region.Bank); err != nil {
-					return nil, err
 				}
 			}
 		}

@@ -15,9 +15,11 @@ type BankFSM struct {
 	cTRCD, cTRAS, cTRC, cTCL, cTCCD, cTRTP int64
 	cTCWL, cTWR, cTWTR, cTRP, cTRFC        int64
 	cBurst                                 int64
-	// cReducedTRCD is the cycle conversion of the last ACT's reduced tRCD,
-	// recomputed only when an ACT brings a different one.
-	cReducedTRCD int64
+	// cReducedTRCD is the cycle conversion of reducedTRCDNS, the last reduced
+	// tRCD an ACT brought; it is recomputed only when a reduced ACT brings a
+	// different one, so full-latency ACTs in between keep it.
+	cReducedTRCD  int64
+	reducedTRCDNS float64
 
 	state   BankState
 	openRow int
@@ -126,8 +128,9 @@ func (b *BankFSM) Activate(now int64, row int, reducedTRCDNS float64) (*Violatio
 
 	cTRCD := b.cTRCD
 	if reducedTRCDNS > 0 {
-		if reducedTRCDNS != b.lastACTReducedTRCD {
+		if reducedTRCDNS != b.reducedTRCDNS {
 			b.cReducedTRCD = b.params.Cycles(reducedTRCDNS)
+			b.reducedTRCDNS = reducedTRCDNS
 		}
 		cTRCD = b.cReducedTRCD
 	}

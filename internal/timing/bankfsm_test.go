@@ -141,6 +141,36 @@ func TestBankFSMReducedTRCDSequence(t *testing.T) {
 	}
 }
 
+// TestBankFSMReducedTRCDCacheAcrossFullACTs alternates full-latency ACTs
+// with two reduced values, as characterization's refresh-then-sample probes
+// do: every ACT's READ-ready cycle must equal that of the same ACT on a fresh
+// FSM, and LastACTReducedTRCD must report each ACT's own override, 0 after a
+// full-latency one.
+func TestBankFSMReducedTRCDCacheAcrossFullACTs(t *testing.T) {
+	p := NewLPDDR4()
+	b := NewBankFSM(p)
+	now := int64(0)
+	for i, trcd := range []float64{0, 10, 0, 10, 0, 12.5, 0, 12.5, 10, 0, 10} {
+		if _, err := b.Activate(now, 7, trcd); err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewBankFSM(p)
+		if _, err := fresh.Activate(now, 7, trcd); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := b.EarliestRead(), fresh.EarliestRead(); got != want {
+			t.Errorf("ACT %d (tRCD %v ns): EarliestRead = %d, a fresh FSM gives %d", i, trcd, got, want)
+		}
+		if got := b.LastACTReducedTRCD(); got != trcd {
+			t.Errorf("ACT %d: LastACTReducedTRCD = %v, want %v", i, got, trcd)
+		}
+		if _, err := b.Precharge(b.EarliestPRE()); err != nil {
+			t.Fatal(err)
+		}
+		now = b.EarliestACT()
+	}
+}
+
 func TestBankFSMActivateOpenBankFails(t *testing.T) {
 	b := NewBankFSM(NewLPDDR4())
 	if _, err := b.Activate(0, 1, 0); err != nil {
